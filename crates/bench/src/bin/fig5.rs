@@ -11,8 +11,8 @@
 #![forbid(unsafe_code)]
 
 use collie_bench::{
-    bench_report, default_workers, fmt_minutes, run_campaign_matrix_report, text_table,
-    CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
+    default_workers, fmt_minutes, run_campaign_matrix_report, text_table, CampaignSpec,
+    MatrixOptions, DEFAULT_SEEDS,
 };
 use collie_core::catalog::KnownAnomaly;
 use collie_core::report::{time_to_find_rows, to_json};
@@ -45,7 +45,6 @@ fn main() {
     let started = Instant::now();
     let report = run_campaign_matrix_report(&cells, &MatrixOptions::new(default_workers()));
     let wall = started.elapsed();
-    let bench = bench_report("fig5", "full", &cells, &report);
 
     let mut matrix = report
         .cells
@@ -116,12 +115,4 @@ fn main() {
         )
     );
     println!("JSON:\n{}", to_json(&all_rows));
-    // --json: the machine-readable per-cell perf block (same schema as the
-    // bench bin's BENCH_fig5.json): cache hit-rate and wall-clock per cell.
-    if std::env::args().any(|arg| arg == "--json") {
-        println!(
-            "BENCH JSON:\n{}",
-            serde_json::to_string_pretty(&bench).unwrap_or_else(|_| "{}".to_string())
-        );
-    }
 }

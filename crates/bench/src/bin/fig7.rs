@@ -10,8 +10,8 @@
 #![forbid(unsafe_code)]
 
 use collie_bench::{
-    bench_report, default_workers, fmt_minutes, run_fabric_campaign_matrix_report, text_table,
-    CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
+    default_workers, fmt_minutes, run_fabric_campaign_matrix_report, text_table, CampaignSpec,
+    MatrixOptions, DEFAULT_SEEDS,
 };
 use collie_core::report::{to_json, FabricGridRow};
 use collie_core::search::SearchConfig;
@@ -37,7 +37,6 @@ fn main() {
     let started = Instant::now();
     let report = run_fabric_campaign_matrix_report(&cells, &MatrixOptions::new(default_workers()));
     let wall = started.elapsed();
-    let bench = bench_report("fig7", "full", &cells, &report);
     let matrix: Vec<_> = report
         .cells
         .into_iter()
@@ -95,12 +94,4 @@ fn main() {
         )
     );
     println!("JSON:\n{}", to_json(&rows));
-    // --json: the machine-readable per-cell perf block (same schema as the
-    // bench bin's BENCH_fig7.json): cache hit-rate and wall-clock per cell.
-    if std::env::args().any(|arg| arg == "--json") {
-        println!(
-            "BENCH JSON:\n{}",
-            serde_json::to_string_pretty(&bench).unwrap_or_else(|_| "{}".to_string())
-        );
-    }
 }

@@ -13,10 +13,6 @@
 //! ([`run_campaign_matrix`]) instead of sweeping it serially.
 #![forbid(unsafe_code)]
 
-pub mod report;
-
-pub use report::{latency_summary, validate_bench_report, BenchCache, BenchCell, BenchReport};
-
 use collie_core::engine::WorkloadEngine;
 use collie_core::eval::{CacheTotals, EvalContext, EvalStats, SharedUse};
 use collie_core::fabric::{run_fabric_search_in_context, FabricEngine, FabricOutcome};
@@ -25,7 +21,6 @@ use collie_core::remedy::{
 };
 use collie_core::search::{run_search_in_context, SearchConfig, SearchOutcome};
 use collie_core::space::{FabricSpace, SearchSpace};
-use collie_rnic::subsystem::IncrementalUse;
 use collie_rnic::subsystems::SubsystemId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -204,8 +199,7 @@ impl MatrixOptions {
     }
 }
 
-/// One finished matrix cell: the campaign outcome plus everything the perf
-/// harness reports about how it ran.
+/// One finished matrix cell: the campaign outcome plus how it ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell<O> {
     /// The campaign outcome (independent of cache mode and pool width).
@@ -219,12 +213,6 @@ pub struct MatrixCell<O> {
     pub shared: SharedUse,
     /// Real wall-clock the cell took, in seconds.
     pub wall_secs: f64,
-    /// One wall-clock latency (µs) per engine compute on the cell's commit
-    /// thread.
-    pub compute_micros: Vec<u64>,
-    /// Incremental stage-reuse counters of the cell's engine (all zero
-    /// when incremental evaluation is off).
-    pub incremental: IncrementalUse,
 }
 
 /// A finished campaign matrix: the cells in matrix order plus the shared
@@ -309,7 +297,7 @@ fn matrix_context(options: &MatrixOptions) -> Option<EvalContext> {
 }
 
 /// Run every cell of a campaign matrix with one matrix-scoped shared cache
-/// (per [`MatrixOptions`]), reporting per-cell perf alongside the
+/// (per [`MatrixOptions`]), reporting per-cell cache use and wall-clock alongside the
 /// outcomes. The cache refactor's ownership root: the [`EvalContext`] is
 /// created here, once, and every cell's evaluator reads through it while
 /// committing via its own local cache — outcomes and stats are therefore
@@ -326,14 +314,13 @@ pub fn run_campaign_matrix_report(
             .as_ref()
             .map(|ctx| ctx.workload_cache(cell.subsystem));
         let started = Instant::now();
-        let (outcome, profile) = run_search_in_context(&mut engine, &space, &cell.config, shared);
+        let (outcome, stats, shared) =
+            run_search_in_context(&mut engine, &space, &cell.config, shared);
         MatrixCell {
             outcome,
-            stats: profile.stats,
-            shared: profile.shared,
+            stats,
+            shared,
             wall_secs: started.elapsed().as_secs_f64(),
-            compute_micros: profile.compute_micros,
-            incremental: profile.incremental,
         }
     });
     let qualification = options.qualify.then(|| {
@@ -365,15 +352,13 @@ pub fn run_fabric_campaign_matrix_report(
         let space = FabricSpace::for_host(&cell.subsystem.host());
         let shared = context.as_ref().map(|ctx| ctx.fabric_cache(cell.subsystem));
         let started = Instant::now();
-        let (outcome, profile) =
+        let (outcome, stats, shared) =
             run_fabric_search_in_context(&mut engine, &space, &cell.config, shared);
         MatrixCell {
             outcome,
-            stats: profile.stats,
-            shared: profile.shared,
+            stats,
+            shared,
             wall_secs: started.elapsed().as_secs_f64(),
-            compute_micros: profile.compute_micros,
-            incremental: profile.incremental,
         }
     });
     let qualification = options.qualify.then(|| {
@@ -419,40 +404,6 @@ pub fn run_fabric_campaign_matrix(
         .into_iter()
         .map(|cell| (cell.outcome, cell.stats))
         .collect()
-}
-
-/// Assemble the machine-readable [`BenchReport`] for a finished matrix:
-/// one [`BenchCell`] per grid cell, labelled from the cell's configuration,
-/// plus the matrix cache totals. The schema every `BENCH_<name>.json` file
-/// and every fig bin's `--json` block share.
-pub fn bench_report<O>(
-    name: &str,
-    mode: &str,
-    cells: &[CampaignSpec],
-    report: &MatrixReport<O>,
-) -> BenchReport {
-    BenchReport {
-        name: name.to_string(),
-        mode: mode.to_string(),
-        cells: cells
-            .iter()
-            .zip(&report.cells)
-            .map(|(spec, cell)| {
-                BenchCell::from_profile(
-                    &spec.config.label(),
-                    spec.config.seed,
-                    cell.wall_secs,
-                    &collie_core::eval::EvalProfile {
-                        stats: cell.stats,
-                        shared: cell.shared,
-                        compute_micros: cell.compute_micros.clone(),
-                        incremental: cell.incremental,
-                    },
-                )
-            })
-            .collect(),
-        totals: report.cache,
-    }
 }
 
 /// Run the same campaign configuration once per seed on a fresh copy of the

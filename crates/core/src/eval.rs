@@ -22,7 +22,7 @@ use crate::engine::WorkloadEngine;
 use crate::monitor::{AnomalyMonitor, AnomalyVerdict};
 use crate::space::{FabricPoint, SearchPoint};
 use collie_rnic::fabric::FabricMeasurement;
-use collie_rnic::subsystem::{IncrementalUse, Measurement, Subsystem};
+use collie_rnic::subsystem::{Measurement, Subsystem};
 use collie_rnic::subsystems::SubsystemId;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -30,8 +30,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
-// collie-lint: allow(wall-clock, reason = "EvalProfile records real compute latency; it never feeds a campaign decision")
-use std::time::Instant;
 
 /// Cache effectiveness counters of one [`Evaluator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -326,26 +324,6 @@ pub struct SharedUse {
     pub served: u64,
 }
 
-/// Everything one campaign's evaluator can report about its execution:
-/// the bit-identical cache stats, the shared-cache interaction counters,
-/// and the wall-clock of every flow-model compute (microseconds, in
-/// compute order) for throughput/latency summaries.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EvalProfile {
-    /// Local-cache hit/miss counters (the bit-identity stats).
-    pub stats: EvalStats,
-    /// Shared-cache interaction counters (zero without an attached cache).
-    pub shared: SharedUse,
-    /// Wall-clock microseconds of each flow-model compute this evaluator
-    /// ran itself.
-    pub compute_micros: Vec<u64>,
-    /// Incremental stage-reuse counters of the underlying subsystem (all
-    /// zero when incremental evaluation is off). Like [`SharedUse`] these
-    /// *describe* the execution; the bit-identity contract lives in
-    /// `stats` and the measurements themselves.
-    pub incremental: IncrementalUse,
-}
-
 /// The matrix-scoped evaluation context: one bundle of [`SharedCache`]s
 /// created at the top of a campaign matrix and attached to every cell's
 /// evaluator, so identical canonical points measured by different
@@ -498,7 +476,6 @@ pub struct Evaluator<'e> {
     memoize: bool,
     stats: EvalStats,
     shared_use: SharedUse,
-    compute_micros: Vec<u64>,
 }
 
 impl<'e> Evaluator<'e> {
@@ -511,7 +488,6 @@ impl<'e> Evaluator<'e> {
             memoize: true,
             stats: EvalStats::default(),
             shared_use: SharedUse::default(),
-            compute_micros: Vec::new(),
         }
     }
 
@@ -536,21 +512,12 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    fn timed_compute(&mut self, point: &SearchPoint) -> Measurement {
-        // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
-        let started = Instant::now();
-        let measurement = self.engine.measure(point);
-        self.compute_micros
-            .push(started.elapsed().as_micros() as u64);
-        measurement
-    }
-
     /// Measure one point, answering from the memo cache when the identical
     /// point was measured before.
     pub fn measure(&mut self, point: &SearchPoint) -> Measurement {
         if !self.memoize {
             self.stats.misses += 1;
-            return self.timed_compute(point);
+            return self.engine.measure(point);
         }
         if let Some(measurement) = self.cache.get(point) {
             self.stats.hits += 1;
@@ -559,15 +526,10 @@ impl<'e> Evaluator<'e> {
         self.stats.misses += 1;
         let measurement = if let Some(shared) = self.shared.as_ref().map(Arc::clone) {
             let engine = &mut *self.engine;
-            let micros = &mut self.compute_micros;
             let mut computed_here = false;
             let measurement = shared.get_or_compute(point, || {
                 computed_here = true;
-                // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
-                let started = Instant::now();
-                let measurement = engine.measure(point);
-                micros.push(started.elapsed().as_micros() as u64);
-                measurement
+                engine.measure(point)
             });
             if computed_here {
                 self.shared_use.computed += 1;
@@ -576,7 +538,7 @@ impl<'e> Evaluator<'e> {
             }
             measurement
         } else {
-            Arc::new(self.timed_compute(point))
+            Arc::new(self.engine.measure(point))
         };
         self.cache.insert(point.clone(), Arc::clone(&measurement));
         (*measurement).clone()
@@ -639,17 +601,6 @@ impl<'e> Evaluator<'e> {
     /// attached cache).
     pub fn shared_use(&self) -> SharedUse {
         self.shared_use
-    }
-
-    /// The full execution profile: stats, shared-cache interaction, and
-    /// per-compute wall-clock.
-    pub fn profile(&self) -> EvalProfile {
-        EvalProfile {
-            stats: self.stats,
-            shared: self.shared_use,
-            compute_micros: self.compute_micros.clone(),
-            incremental: self.engine.subsystem().incremental_use(),
-        }
     }
 
     /// Number of distinct points held in the cache.
@@ -778,19 +729,6 @@ mod tests {
         let batch = workers[0].compute_batch(&points);
         let serial: Vec<_> = points.iter().map(|p| workers[0].compute(p)).collect();
         assert_eq!(batch, serial);
-    }
-
-    #[test]
-    fn profile_reports_the_engines_incremental_reuse() {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        engine.set_incremental(true);
-        let mut evaluator = Evaluator::uncached(&mut engine);
-        let p = SearchPoint::benign();
-        let _ = evaluator.measure(&p);
-        let _ = evaluator.measure(&p);
-        let profile = evaluator.profile();
-        assert!(profile.incremental.total_hits() > 0);
-        assert!(profile.incremental.total_misses() > 0);
     }
 
     #[test]
@@ -985,8 +923,7 @@ mod tests {
         let mut evaluator = Evaluator::new(&mut engine);
         evaluator.attach_shared(Arc::clone(&shared));
         // Local miss served by the shared publication: stats still record a
-        // plain miss (bit-identity), SharedUse records the serve, and no
-        // compute latency is logged because no flow model ran here.
+        // plain miss (bit-identity) and SharedUse records the serve.
         let got = evaluator.measure(&p);
         assert_eq!(got, reference.measure(&p));
         assert_eq!(evaluator.stats(), EvalStats { hits: 0, misses: 1 });
@@ -997,7 +934,6 @@ mod tests {
                 served: 1
             }
         );
-        assert!(evaluator.profile().compute_micros.is_empty());
         // A genuinely new point is computed through the shared cache.
         let _ = evaluator.measure(&SearchPoint::benign());
         assert_eq!(
@@ -1007,22 +943,6 @@ mod tests {
                 served: 1
             }
         );
-        assert_eq!(evaluator.profile().compute_micros.len(), 1);
-    }
-
-    #[test]
-    fn profile_records_one_latency_per_compute() {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = Evaluator::new(&mut engine);
-        let p = anomalous_point();
-        let _ = evaluator.measure(&p);
-        let _ = evaluator.measure(&p);
-        assert_eq!(evaluator.profile().compute_micros.len(), 1);
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let mut uncached = Evaluator::uncached(&mut engine);
-        let _ = uncached.measure(&p);
-        let _ = uncached.measure(&p);
-        assert_eq!(uncached.profile().compute_micros.len(), 2);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! relabelled random baseline.
 
 use super::{FabricEngine, FabricEvaluator};
-use crate::eval::{EvalProfile, EvalStats, SharedCache};
+use crate::eval::{EvalStats, SharedCache, SharedUse};
 use crate::monitor::{AnomalyMonitor, FeatureCondition, Symptom};
 use crate::search::domain::{CampaignReport, ExtractionCost, SearchDomain};
 use crate::search::kernel::{run_annealing, run_bayesian, run_random, CampaignLoop};
@@ -362,8 +362,8 @@ pub fn run_fabric_search_with_stats(
     space: &FabricSpace,
     config: &SearchConfig,
 ) -> (FabricOutcome, EvalStats) {
-    let (outcome, profile) = run_fabric_search_in_context(engine, space, config, None);
-    (outcome, profile.stats)
+    let (outcome, stats, _) = run_fabric_search_in_context(engine, space, config, None);
+    (outcome, stats)
 }
 
 /// Run one fabric campaign with an optional matrix-scoped [`SharedCache`]
@@ -376,13 +376,14 @@ pub fn run_fabric_search_in_context(
     space: &FabricSpace,
     config: &SearchConfig,
     shared: Option<std::sync::Arc<SharedCache<FabricPoint, FabricMeasurement>>>,
-) -> (FabricOutcome, EvalProfile) {
-    // The two-host legacy-compat knobs never describe a fabric behaviour:
-    // the fabric stack always had identity-keyed dedup and a stuck-walk
-    // escape (that is what the fig7 golden fixtures pin). Enforce both so
-    // a config built with `with_legacy_two_host_semantics()` for the
-    // two-host compat grids cannot silently select a fabric mode that
-    // never existed. An explicit non-default escape threshold is honoured.
+) -> (FabricOutcome, EvalStats, SharedUse) {
+    // The two-host compat knobs (`identity_dedup: false`,
+    // `stuck_skip_limit: None`) never describe a fabric behaviour: the
+    // fabric stack always had identity-keyed dedup and a stuck-walk escape
+    // (that is what the fig7 golden fixtures pin). Enforce both so a
+    // two-host config with either knob off cannot silently select a fabric
+    // mode that never existed. An explicit non-default escape threshold is
+    // honoured.
     let config = &SearchConfig {
         identity_dedup: true,
         stuck_skip_limit: config.stuck_skip_limit.or(Some(24)),
@@ -417,8 +418,7 @@ pub fn run_fabric_search_in_context(
         }
         FabricOutcome::from_report(format!("{} fabric", config.label()), campaign.finish())
     };
-    let profile = evaluator.profile();
-    (outcome, profile)
+    (outcome, evaluator.stats(), evaluator.shared_use())
 }
 
 #[cfg(test)]
@@ -602,21 +602,21 @@ mod tests {
 
     #[test]
     fn legacy_two_host_knobs_cannot_select_a_nonexistent_fabric_mode() {
-        // `with_legacy_two_host_semantics()` exists solely for the
-        // two-host golden compat grids; the fabric stack always had
-        // identity-keyed dedup and the stuck-walk escape, so the runner
-        // normalises the knobs away and the campaign is bit-identical to
-        // the default configuration.
+        // The fabric stack always had identity-keyed dedup and the
+        // stuck-walk escape, so the runner normalises the two-host compat
+        // knobs away and the campaign is bit-identical to the default
+        // configuration.
         let space = FabricSpace::for_host(&SubsystemId::F.host());
         let config = SearchConfig::collie(42).with_budget(SimDuration::from_secs(1800));
         let mut a_engine = FabricEngine::for_catalog(SubsystemId::F);
         let a = run_fabric_search(&mut a_engine, &space, &config);
         let mut b_engine = FabricEngine::for_catalog(SubsystemId::F);
-        let b = run_fabric_search(
-            &mut b_engine,
-            &space,
-            &config.clone().with_legacy_two_host_semantics(),
-        );
+        let pre_kernel = SearchConfig {
+            stuck_skip_limit: None,
+            identity_dedup: false,
+            ..config.clone()
+        };
+        let b = run_fabric_search(&mut b_engine, &space, &pre_kernel);
         assert_eq!(a, b);
     }
 

@@ -36,7 +36,7 @@ pub use campaign::{
 pub use mfs::{FabricExtractionOutcome, FabricMfs, FabricMfsExtractor, FabricSignature};
 
 use crate::engine::WorkloadEngine;
-use crate::eval::{EvalProfile, EvalStats, SharedCache, SharedUse, SpecWorker, SpeculationParts};
+use crate::eval::{EvalStats, SharedCache, SharedUse, SpecWorker, SpeculationParts};
 use crate::monitor::{AnomalyMonitor, Symptom};
 use crate::space::{FabricPoint, SearchPoint};
 use collie_rnic::fabric::{evaluate_fabric, FabricMeasurement};
@@ -46,8 +46,6 @@ use collie_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
-// collie-lint: allow(wall-clock, reason = "FabricEvaluator's EvalProfile records real compute latency; it never feeds a campaign decision")
-use std::time::Instant;
 
 /// Sets up and runs fabric experiments: N homogeneous hosts around the
 /// wrapped two-host engine.
@@ -199,7 +197,6 @@ pub struct FabricEvaluator<'e> {
     memoize: bool,
     stats: EvalStats,
     shared_use: SharedUse,
-    compute_micros: Vec<u64>,
 }
 
 struct ForkedFabricWorker {
@@ -222,7 +219,6 @@ impl<'e> FabricEvaluator<'e> {
             memoize: true,
             stats: EvalStats::default(),
             shared_use: SharedUse::default(),
-            compute_micros: Vec::new(),
         }
     }
 
@@ -250,7 +246,7 @@ impl<'e> FabricEvaluator<'e> {
     pub fn measure(&mut self, point: &FabricPoint) -> FabricMeasurement {
         if !self.memoize {
             self.stats.misses += 1;
-            return self.timed_compute(point);
+            return self.engine.measure(point);
         }
         if let Some(measurement) = self.cache.get(point) {
             self.stats.hits += 1;
@@ -259,15 +255,10 @@ impl<'e> FabricEvaluator<'e> {
         self.stats.misses += 1;
         let measurement = if let Some(shared) = self.shared.as_ref().map(Arc::clone) {
             let engine = &mut *self.engine;
-            let micros = &mut self.compute_micros;
             let mut computed_here = false;
             let measurement = shared.get_or_compute(point, || {
                 computed_here = true;
-                // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
-                let started = Instant::now();
-                let measurement = engine.measure(point);
-                micros.push(started.elapsed().as_micros() as u64);
-                measurement
+                engine.measure(point)
             });
             if computed_here {
                 self.shared_use.computed += 1;
@@ -276,20 +267,10 @@ impl<'e> FabricEvaluator<'e> {
             }
             measurement
         } else {
-            Arc::new(self.timed_compute(point))
+            Arc::new(self.engine.measure(point))
         };
         self.cache.insert(point.clone(), Arc::clone(&measurement));
         (*measurement).clone()
-    }
-
-    /// Run the fabric model for one point, recording its wall-clock cost.
-    fn timed_compute(&mut self, point: &FabricPoint) -> FabricMeasurement {
-        // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
-        let started = Instant::now();
-        let measurement = self.engine.measure(point);
-        self.compute_micros
-            .push(started.elapsed().as_micros() as u64);
-        measurement
     }
 
     /// The §6 measurement procedure through the cache: sample the fabric
@@ -362,17 +343,6 @@ impl<'e> FabricEvaluator<'e> {
     /// [`Evaluator::shared_use`](crate::eval::Evaluator::shared_use)).
     pub fn shared_use(&self) -> SharedUse {
         self.shared_use
-    }
-
-    /// The full evaluation profile: local stats, shared-cache interaction,
-    /// and one wall-clock latency per fabric-model run on this thread.
-    pub fn profile(&self) -> EvalProfile {
-        EvalProfile {
-            stats: self.stats,
-            shared: self.shared_use,
-            compute_micros: self.compute_micros.clone(),
-            incremental: self.engine.subsystem().incremental_use(),
-        }
     }
 
     /// Number of distinct points held in the cache.
@@ -576,7 +546,6 @@ mod tests {
                 served: 1
             }
         );
-        assert!(evaluator.profile().compute_micros.is_empty());
         let _ = evaluator.measure(&FabricPoint::benign());
         assert_eq!(
             evaluator.shared_use(),
@@ -585,13 +554,12 @@ mod tests {
                 served: 1
             }
         );
-        assert_eq!(evaluator.profile().compute_micros.len(), 1);
 
         let mut uncached = FabricEvaluator::uncached(&mut reference);
         uncached.attach_shared(Arc::clone(&shared));
         let _ = uncached.measure(&p);
         assert_eq!(uncached.shared_use(), SharedUse::default());
-        assert_eq!(uncached.profile().compute_micros.len(), 1);
+        assert_eq!(uncached.stats(), EvalStats { hits: 0, misses: 1 });
     }
 
     #[test]

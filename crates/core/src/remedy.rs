@@ -578,6 +578,60 @@ mod tests {
     }
 
     #[test]
+    fn malformed_catalog_text_is_an_error_never_a_panic() {
+        // A persisted catalog that was truncated or corrupted on disk must
+        // load as a typed error. Every proper prefix of a real multi-record
+        // catalog is incomplete JSON; every flip of a byte outside string
+        // contents either breaks the syntax (structural bytes must) or
+        // changes a value, and none may panic.
+        let qualifier = Qualifier::for_subsystem(SubsystemId::F);
+        let mut catalog = RegressionCatalog::new();
+        for id in [3, 4, 12] {
+            catalog.upsert(qualifier.qualify_known(&KnownAnomaly::by_id(id).unwrap()));
+        }
+        let text = catalog.to_json();
+        let load = |input: &str| {
+            std::panic::catch_unwind(|| RegressionCatalog::from_json(input))
+                .unwrap_or_else(|_| panic!("from_json panicked on {input:?}"))
+        };
+        let mut cases = 0;
+        for (end, _) in text.char_indices() {
+            assert!(load(&text[..end]).is_err(), "prefix of {end} bytes loaded");
+            cases += 1;
+        }
+        let mut in_string = false;
+        let mut escaped = false;
+        for (at, &byte) in text.as_bytes().iter().enumerate() {
+            let structural =
+                (byte == b'"' && !escaped) || (!in_string && b"{}[]:,".contains(&byte));
+            if in_string {
+                escaped = !escaped && byte == b'\\';
+            }
+            if byte == b'"' && structural {
+                in_string = !in_string;
+            }
+            if !byte.is_ascii() || in_string && !structural {
+                continue;
+            }
+            for mask in [0x01, 0x20] {
+                let mut flipped = text.clone().into_bytes();
+                flipped[at] ^= mask;
+                let flipped = String::from_utf8(flipped).expect("ASCII flips stay UTF-8");
+                let result = load(&flipped);
+                if structural {
+                    assert!(
+                        result.is_err(),
+                        "flipping {:?} at byte {at} loaded",
+                        byte as char
+                    );
+                }
+                cases += 1;
+            }
+        }
+        assert!(cases > 3_000, "only {cases} malformed inputs tried");
+    }
+
+    #[test]
     fn upsert_replaces_by_identity() {
         let anomaly = KnownAnomaly::by_id(3).unwrap();
         let qualifier = Qualifier::for_subsystem(anomaly.subsystem);

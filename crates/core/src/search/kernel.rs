@@ -27,11 +27,10 @@
 //!   identity* ([`SearchConfig::identity_dedup`]); a loose MFS of a
 //!   different identity must not shadow it (see
 //!   `a_loose_mfs_does_not_shadow_a_distinct_identity_discovery`).
-//! * **Compatibility grids** — both behaviours are config knobs whose
-//!   legacy settings ([`SearchConfig::with_legacy_two_host_semantics`])
-//!   reproduce the pre-kernel two-host streams bit-for-bit, which is how
-//!   the golden suite separates the refactor (stream-preserving) from the
-//!   two deliberate fixes (pinned by their own fixtures).
+//! * **Pre-kernel settings** — both behaviours are config knobs
+//!   (`stuck_skip_limit: None`, `identity_dedup: false` reproduce the
+//!   pre-kernel two-host walk); the defaults are pinned by the
+//!   `*_kernel.json` golden fixtures.
 
 use crate::eval::{Claim, SharedCache};
 use crate::search::domain::{CampaignReport, ExtractionCost, SearchDomain};
@@ -1621,14 +1620,16 @@ mod tests {
 
     #[test]
     fn without_the_escape_the_saturated_walk_spins() {
-        // The other half of the regression: the legacy configuration
-        // reproduces the pre-kernel stall, which is what made the golden
-        // compatibility grids bit-identical — and what the default config
-        // fixes.
+        // The other half of the regression: the pre-kernel configuration
+        // reproduces the stall that the default config fixes. Dedup is
+        // containment-only there too, so every anomaly inside the planted
+        // MFS is a redundant sighting and no extraction adds experiments.
         let (mut engine, space, monitor) = setup();
-        let config = SearchConfig::collie(7)
-            .with_budget(collie_sim::time::SimDuration::from_secs(3600))
-            .with_legacy_two_host_semantics();
+        let config = SearchConfig {
+            stuck_skip_limit: None,
+            identity_dedup: false,
+            ..SearchConfig::collie(7).with_budget(collie_sim::time::SimDuration::from_secs(3600))
+        };
         let mut evaluator = Evaluator::new(&mut engine);
         let domain = WorkloadDomain::new(&mut evaluator, &monitor, &space, config.signal);
         let mut campaign = CampaignLoop::new(domain, &config);
@@ -1664,9 +1665,11 @@ mod tests {
         low_throughput.messages = vec![1024];
 
         for (identity_dedup, expected_discoveries) in [(true, 1), (false, 0)] {
-            let config = SearchConfig::collie(3)
-                .with_budget(collie_sim::time::SimDuration::from_secs(7200))
-                .with_identity_dedup(identity_dedup);
+            let config = SearchConfig {
+                identity_dedup,
+                ..SearchConfig::collie(3)
+                    .with_budget(collie_sim::time::SimDuration::from_secs(7200))
+            };
             let mut evaluator = Evaluator::new(&mut engine);
             let domain = WorkloadDomain::new(&mut evaluator, &monitor, &space, config.signal);
             let mut campaign = CampaignLoop::new(domain, &config);
@@ -1807,33 +1810,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_semantics_builder_sets_both_compat_knobs() {
-        let config = SearchConfig::collie(1).with_legacy_two_host_semantics();
-        assert_eq!(config.stuck_skip_limit, None);
-        assert!(!config.identity_dedup);
-        // Defaults keep the kernel semantics.
-        let default = SearchConfig::collie(1);
-        assert_eq!(default.stuck_skip_limit, Some(24));
-        assert!(default.identity_dedup);
-    }
-
-    #[test]
     fn the_two_legacy_knobs_only_change_campaigns_that_hit_them() {
         // A short campaign that never saturates and never sees two
-        // symptoms in one region is bit-identical under both semantics —
-        // the compat knobs gate *extra* behaviour, they do not reorder
-        // any RNG draw.
+        // symptoms in one region is bit-identical with both knobs off —
+        // they gate *extra* behaviour, they do not reorder any RNG draw.
         let space = SearchSpace::for_host(&SubsystemId::F.host());
         let config =
             SearchConfig::collie(42).with_budget(collie_sim::time::SimDuration::from_secs(900));
         let mut a_engine = WorkloadEngine::for_catalog(SubsystemId::F);
         let a = run_search(&mut a_engine, &space, &config);
         let mut b_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let b = run_search(
-            &mut b_engine,
-            &space,
-            &config.clone().with_legacy_two_host_semantics(),
-        );
+        let pre_kernel = SearchConfig {
+            stuck_skip_limit: None,
+            identity_dedup: false,
+            ..config.clone()
+        };
+        let b = run_search(&mut b_engine, &space, &pre_kernel);
         assert_eq!(a, b);
     }
 

@@ -127,15 +127,13 @@ pub struct SearchConfig {
     /// abandons its neighbourhood and restarts from a fresh random point
     /// (the walk's skips are free, but it makes no progress parked next to
     /// a discovered MFS region). `None` disables the escape — the
-    /// pre-kernel two-host behaviour, used by the golden-trace
-    /// compatibility grids.
+    /// pre-kernel two-host behaviour.
     pub stuck_skip_limit: Option<u32>,
     /// Whether discovery dedup requires a matching MFS to share the new
     /// anomaly's *observable identity* (symptom, plus the cross-host
     /// hallmark on fabric domains). With identity keying a loose MFS
     /// cannot shadow a distinct-identity discovery; `false` restores the
-    /// pre-kernel two-host containment-only dedup for the golden-trace
-    /// compatibility grids.
+    /// pre-kernel two-host containment-only dedup.
     pub identity_dedup: bool,
     /// Speculative lookahead depth: `Some(k)` lets the campaign pre-draw up
     /// to `k` likely-next proposals from a forked RNG and evaluate them on
@@ -231,20 +229,6 @@ impl SearchConfig {
         self
     }
 
-    /// Replace the stuck-walk escape threshold (`None` disables; see
-    /// [`SearchConfig::stuck_skip_limit`]).
-    pub fn with_stuck_skip_limit(mut self, limit: Option<u32>) -> SearchConfig {
-        self.stuck_skip_limit = limit;
-        self
-    }
-
-    /// Enable or disable identity-keyed discovery dedup (see
-    /// [`SearchConfig::identity_dedup`]).
-    pub fn with_identity_dedup(mut self, identity_dedup: bool) -> SearchConfig {
-        self.identity_dedup = identity_dedup;
-        self
-    }
-
     /// Set the speculative lookahead depth (`None` keeps the serial loop;
     /// see [`SearchConfig::speculation`]).
     pub fn with_speculation(mut self, speculation: Option<usize>) -> SearchConfig {
@@ -259,21 +243,6 @@ impl SearchConfig {
     pub fn with_incremental(mut self, incremental: bool) -> SearchConfig {
         self.incremental = incremental;
         self
-    }
-
-    /// The pre-kernel two-host campaign semantics: no stuck-walk escape
-    /// and containment-only discovery dedup. The golden-trace suite runs
-    /// the fig4/fig5 grids in this mode to prove the kernel unification
-    /// moved neither RNG stream; new code should keep the defaults.
-    ///
-    /// **Two-host only.** The fabric stack always had the escape and
-    /// identity-keyed dedup, so a config built this way must not be fed to
-    /// [`run_fabric_search`](crate::fabric::run_fabric_search) — it would
-    /// select a fabric behaviour that never existed (a loose local-storm
-    /// MFS could shadow a victim-collapse discovery, and a saturated
-    /// space could stall the fabric annealer).
-    pub fn with_legacy_two_host_semantics(self) -> SearchConfig {
-        self.with_stuck_skip_limit(None).with_identity_dedup(false)
     }
 
     /// A descriptive label such as "Collie(Diag)" or "BO w/o MFS(Perf)".
@@ -336,8 +305,8 @@ pub fn run_search_with_stats(
     space: &SearchSpace,
     config: &SearchConfig,
 ) -> (SearchOutcome, crate::eval::EvalStats) {
-    let (outcome, profile) = run_search_in_context(engine, space, config, None);
-    (outcome, profile.stats)
+    let (outcome, stats, _) = run_search_in_context(engine, space, config, None);
+    (outcome, stats)
 }
 
 /// Run one search campaign with an optional matrix-scoped
@@ -346,14 +315,18 @@ pub fn run_search_with_stats(
 /// cache and computes are published for sibling cells, while commits still
 /// go through the evaluator's local cache so the outcome and its
 /// [`EvalStats`](crate::eval::EvalStats) are bit-identical with or without
-/// `shared`. Returns the full [`EvalProfile`](crate::eval::EvalProfile)
-/// for perf harnesses.
+/// `shared`. Also returns the evaluator's
+/// [`SharedUse`](crate::eval::SharedUse) counters.
 pub fn run_search_in_context(
     engine: &mut WorkloadEngine,
     space: &SearchSpace,
     config: &SearchConfig,
     shared: Option<std::sync::Arc<crate::eval::SharedCache<SearchPoint, Measurement>>>,
-) -> (SearchOutcome, crate::eval::EvalProfile) {
+) -> (
+    SearchOutcome,
+    crate::eval::EvalStats,
+    crate::eval::SharedUse,
+) {
     let monitor = AnomalyMonitor::new();
     engine.set_incremental(config.incremental);
     let mut evaluator = if config.memoize {
@@ -377,8 +350,7 @@ pub fn run_search_in_context(
         }
         SearchOutcome::from_report(config.label(), campaign.finish())
     };
-    let profile = evaluator.profile();
-    (outcome, profile)
+    (outcome, evaluator.stats(), evaluator.shared_use())
 }
 
 #[cfg(test)]

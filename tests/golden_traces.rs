@@ -9,20 +9,14 @@
 //! This suite makes the contract explicit: the full fig4, fig5, and fig7
 //! strategy×seed grids are re-run and their canonical JSON encodings are
 //! diffed byte-for-byte against committed fixtures under `tests/fixtures/`.
-//! Two fixture generations coexist, because the kernel-unification PR made
-//! exactly two deliberate behaviour changes alongside the refactor:
 //!
-//! * `golden_fig{4,5,7}.json` — recorded from the **pre-kernel** (PR 3)
-//!   code. The two-host grids are re-run under
-//!   [`SearchConfig::with_legacy_two_host_semantics`] (no stuck-walk
-//!   escape, containment-only dedup), which proves the generic
-//!   `CampaignLoop`/`MfsExtractor` moved *neither RNG stream*: every
-//!   divergence from these fixtures is refactor breakage, never an
-//!   intended fix. The fabric grid runs with defaults — the kernel adopted
-//!   the fabric semantics, so fig7 is bit-identical without a compat mode.
+//! * `golden_fig7.json` — the fabric Random and Collie columns, recorded
+//!   from the code that predates the generic campaign kernel. The kernel
+//!   adopted the fabric semantics wholesale, so the default configuration
+//!   still reproduces it bit for bit.
 //! * `golden_fig{4,5}_kernel.json` — recorded from the unified kernel with
 //!   its default semantics (stuck-walk escape at 24, identity-keyed
-//!   dedup), pinning the *new* behaviour against future drift.
+//!   dedup), pinning the two-host grids against future drift.
 //! * `golden_fig7_bo.json` — the fabric BO column (3 seeds), pinning the
 //!   generic `run_bayesian` driver on the fabric domain. First-generation:
 //!   the pre-kernel code had no fabric BO cell (a Bayesian config silently
@@ -37,7 +31,7 @@
 //! ```
 //!
 //! and justify the diff in the PR description. (Recording regenerates only
-//! the current-code fixtures it is pointed at; the pre-kernel files are
+//! the current-code fixtures it is pointed at; `golden_fig7.json` is
 //! historical and must never be regenerated.)
 
 use collie_bench::{
@@ -157,9 +151,9 @@ fn fixture_path(name: &str) -> PathBuf {
 /// Serialize, then either record (GOLDEN_RECORD=1) or diff against the
 /// committed fixture, reporting the first differing line on mismatch.
 ///
-/// `recordable` is false for the pre-kernel fixtures: they are historical
-/// artefacts of the code that predates the generic kernel and can only be
-/// compared against, never regenerated.
+/// `recordable` is false for the pre-kernel `golden_fig7.json`: it is a
+/// historical artefact of the code that predates the generic kernel and
+/// can only be compared against, never regenerated.
 fn record_or_compare(name: &str, cells: &[GoldenCell], recordable: bool) {
     let rendered = serde_json::to_string_pretty(cells).expect("golden cells serialize");
     let path = fixture_path(name);
@@ -272,31 +266,6 @@ fn run_two_host_grid(cells: &[CampaignSpec]) -> Vec<GoldenCell> {
         .zip(&outcomes)
         .map(|(cell, (outcome, _))| GoldenCell::from_search(outcome, cell.config.seed))
         .collect()
-}
-
-/// The same grid with the pre-kernel two-host semantics (no stuck-walk
-/// escape, containment-only dedup) — the configuration whose streams must
-/// be bit-identical to the pre-refactor fixtures.
-fn legacy(cells: Vec<CampaignSpec>) -> Vec<CampaignSpec> {
-    cells
-        .into_iter()
-        .map(|cell| CampaignSpec {
-            config: cell.config.with_legacy_two_host_semantics(),
-            ..cell
-        })
-        .collect()
-}
-
-#[test]
-fn golden_fig4_discovery_sequences_are_bit_identical_to_the_pre_kernel_code() {
-    let golden = run_two_host_grid(&legacy(fig4_cells()));
-    record_or_compare("golden_fig4.json", &golden, false);
-}
-
-#[test]
-fn golden_fig5_discovery_sequences_are_bit_identical_to_the_pre_kernel_code() {
-    let golden = run_two_host_grid(&legacy(fig5_cells()));
-    record_or_compare("golden_fig5.json", &golden, false);
 }
 
 #[test]
@@ -426,8 +395,6 @@ fn golden_grids_replay_bit_identically_under_speculation() {
     // to the serial loop; the leg pins that the knob is safe under the
     // COLLIE_MEMOIZE=0 CI matrix too.
     let two_host_grids = [
-        ("golden_fig4.json", legacy(fig4_cells())),
-        ("golden_fig5.json", legacy(fig5_cells())),
         ("golden_fig4_kernel.json", fig4_cells()),
         ("golden_fig5_kernel.json", fig5_cells()),
     ];
