@@ -297,11 +297,12 @@ fn matrix_context(options: &MatrixOptions) -> Option<EvalContext> {
 }
 
 /// Run every cell of a campaign matrix with one matrix-scoped shared cache
-/// (per [`MatrixOptions`]), reporting per-cell cache use and wall-clock alongside the
-/// outcomes. The cache refactor's ownership root: the [`EvalContext`] is
-/// created here, once, and every cell's evaluator reads through it while
-/// committing via its own local cache — outcomes and stats are therefore
-/// byte-identical to [`run_campaign_matrix`] with sharing off.
+/// (per [`MatrixOptions`]), reporting per-cell cache use and wall-clock
+/// alongside the outcomes. The cache refactor's ownership root: the
+/// [`EvalContext`] is created here, once, and every cell's evaluator reads
+/// through it while committing via its own local cache — outcomes and
+/// stats are therefore byte-identical to [`run_campaign_matrix`] with
+/// sharing off.
 pub fn run_campaign_matrix_report(
     specs: &[CampaignSpec],
     options: &MatrixOptions,
