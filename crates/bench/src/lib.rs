@@ -14,12 +14,12 @@
 #![forbid(unsafe_code)]
 
 use collie_core::engine::WorkloadEngine;
-use collie_core::eval::{CacheTotals, EvalContext, EvalStats, SharedUse};
-use collie_core::fabric::{run_fabric_search_in_context, FabricEngine, FabricOutcome};
+use collie_core::eval::EvalStats;
+use collie_core::fabric::{run_fabric_search_with_stats, FabricEngine, FabricOutcome};
 use collie_core::remedy::{
     DiscoveredTrigger, QualificationRecord, Qualifier, RegressionCatalog, RegressionFlag,
 };
-use collie_core::search::{run_search_in_context, SearchConfig, SearchOutcome};
+use collie_core::search::{run_search_with_stats, SearchConfig, SearchOutcome};
 use collie_core::space::{FabricSpace, SearchSpace};
 use collie_rnic::subsystems::SubsystemId;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -126,25 +126,19 @@ where
         .collect()
 }
 
-/// Default capacity of the matrix-scoped shared cache: generous enough
-/// that the standard grids never evict (a full fig4 grid computes a few
-/// thousand distinct points), small enough that a fleet-size matrix cannot
-/// grow the cache without bound.
+/// Per-subsystem capacity of an [`EvalContext`](collie_core::eval::EvalContext)
+/// that attaches a whole grid's campaigns to one cache, as the campaign
+/// benchmark's traced rounds do (the matrix runners build none). Generous
+/// enough that a standard grid never evicts.
 pub const DEFAULT_MATRIX_CACHE_CAPACITY: usize = 65_536;
 
-/// How a campaign matrix runs: pool width, shared-cache policy, and the
-/// optional verification phase.
+/// How a campaign matrix runs: pool width and the optional verification
+/// phase. Every cell evaluates on its own private memo cache; cells share
+/// no state, so outcomes and [`EvalStats`] do not depend on the width.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixOptions {
     /// Worker-pool width (clamped like [`parallel_map`]).
     pub workers: usize,
-    /// Whether cells share one matrix-scoped [`EvalContext`] (per-subsystem
-    /// caches, see [`EvalContext::workload_cache`]). Sharing never changes
-    /// outcomes or [`EvalStats`] — commits go through each cell's local
-    /// cache — so it defaults to on.
-    pub share_cache: bool,
-    /// Capacity of each shared per-subsystem cache; `None` is unbounded.
-    pub cache_capacity: Option<usize>,
     /// Append a qualification phase to the matrix report: every discovery
     /// is handed to a [`Qualifier`] that verifies its mitigations one at a
     /// time on fresh engine forks. Off by default — the phase runs strictly
@@ -160,28 +154,13 @@ pub struct MatrixOptions {
 }
 
 impl MatrixOptions {
-    /// Sharing on, default capacity bound, qualification off.
+    /// `workers` threads, qualification off.
     pub fn new(workers: usize) -> MatrixOptions {
         MatrixOptions {
             workers,
-            share_cache: true,
-            cache_capacity: Some(DEFAULT_MATRIX_CACHE_CAPACITY),
             qualify: false,
             regression_catalog: None,
         }
-    }
-
-    /// Disable cross-cell sharing (the per-cell baseline the sharing proof
-    /// test compares against).
-    pub fn without_shared_cache(mut self) -> MatrixOptions {
-        self.share_cache = false;
-        self
-    }
-
-    /// Override the shared-cache capacity (`None` removes the bound).
-    pub fn with_cache_capacity(mut self, capacity: Option<usize>) -> MatrixOptions {
-        self.cache_capacity = capacity;
-        self
     }
 
     /// Append the qualification phase to the matrix report.
@@ -204,25 +183,19 @@ impl MatrixOptions {
 pub struct MatrixCell<O> {
     /// The campaign outcome (independent of cache mode and pool width).
     pub outcome: O,
-    /// Local evaluation-cache hit/miss counters (bit-identical in every
-    /// cache mode).
+    /// Evaluation-cache hit/miss counters (bit-identical in every cache
+    /// mode).
     pub stats: EvalStats,
-    /// Shared-cache interaction: misses this cell computed itself vs.
-    /// misses served by a sibling's publication (all zero when sharing is
-    /// off).
-    pub shared: SharedUse,
     /// Real wall-clock the cell took, in seconds.
     pub wall_secs: f64,
 }
 
-/// A finished campaign matrix: the cells in matrix order plus the shared
-/// cache's matrix-level totals and, when requested, the verification phase.
+/// A finished campaign matrix: the cells in matrix order plus, when
+/// requested, the verification phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixReport<O> {
     /// One entry per input cell, in input order.
     pub cells: Vec<MatrixCell<O>>,
-    /// Matrix-level shared-cache totals (zero when sharing was off).
-    pub cache: CacheTotals,
     /// The qualification phase (`None` unless [`MatrixOptions::qualify`]
     /// was set).
     pub qualification: Option<QualificationPhase>,
@@ -289,38 +262,21 @@ fn qualification_phase(
     }
 }
 
-fn matrix_context(options: &MatrixOptions) -> Option<EvalContext> {
-    options.share_cache.then(|| match options.cache_capacity {
-        Some(capacity) => EvalContext::bounded(capacity),
-        None => EvalContext::new(),
-    })
-}
-
-/// Run every cell of a campaign matrix with one matrix-scoped shared cache
-/// (per [`MatrixOptions`]), reporting per-cell cache use and wall-clock
-/// alongside the outcomes. The cache refactor's ownership root: the
-/// [`EvalContext`] is created here, once, and every cell's evaluator reads
-/// through it while committing via its own local cache — outcomes and
-/// stats are therefore byte-identical to [`run_campaign_matrix`] with
-/// sharing off.
+/// Run every cell of a campaign matrix (per [`MatrixOptions`]), reporting
+/// per-cell cache stats and wall-clock alongside the outcomes. Each cell
+/// owns a fresh engine and its evaluator's private memo cache.
 pub fn run_campaign_matrix_report(
     specs: &[CampaignSpec],
     options: &MatrixOptions,
 ) -> MatrixReport<SearchOutcome> {
-    let context = matrix_context(options);
     let cells = parallel_map(specs, options.workers, |cell| {
         let mut engine = WorkloadEngine::for_catalog(cell.subsystem);
         let space = SearchSpace::for_host(&cell.subsystem.host());
-        let shared = context
-            .as_ref()
-            .map(|ctx| ctx.workload_cache(cell.subsystem));
         let started = Instant::now();
-        let (outcome, stats, shared) =
-            run_search_in_context(&mut engine, &space, &cell.config, shared);
+        let (outcome, stats) = run_search_with_stats(&mut engine, &space, &cell.config);
         MatrixCell {
             outcome,
             stats,
-            shared,
             wall_secs: started.elapsed().as_secs_f64(),
         }
     });
@@ -333,13 +289,11 @@ pub fn run_campaign_matrix_report(
     });
     MatrixReport {
         cells,
-        cache: context.map(|ctx| ctx.totals()).unwrap_or_default(),
         qualification,
     }
 }
 
-/// The fabric counterpart of [`run_campaign_matrix_report`]: same
-/// ownership shape over [`EvalContext::fabric_cache`]. The qualification
+/// The fabric counterpart of [`run_campaign_matrix_report`]. The qualification
 /// phase (when requested) verifies each discovery's *culprit workload*
 /// against the two-host subsystem — see
 /// [`FabricOutcome::discovered_triggers`].
@@ -347,18 +301,14 @@ pub fn run_fabric_campaign_matrix_report(
     specs: &[CampaignSpec],
     options: &MatrixOptions,
 ) -> MatrixReport<FabricOutcome> {
-    let context = matrix_context(options);
     let cells = parallel_map(specs, options.workers, |cell| {
         let mut engine = FabricEngine::for_catalog(cell.subsystem);
         let space = FabricSpace::for_host(&cell.subsystem.host());
-        let shared = context.as_ref().map(|ctx| ctx.fabric_cache(cell.subsystem));
         let started = Instant::now();
-        let (outcome, stats, shared) =
-            run_fabric_search_in_context(&mut engine, &space, &cell.config, shared);
+        let (outcome, stats) = run_fabric_search_with_stats(&mut engine, &space, &cell.config);
         MatrixCell {
             outcome,
             stats,
-            shared,
             wall_secs: started.elapsed().as_secs_f64(),
         }
     });
@@ -371,15 +321,12 @@ pub fn run_fabric_campaign_matrix_report(
     });
     MatrixReport {
         cells,
-        cache: context.map(|ctx| ctx.totals()).unwrap_or_default(),
         qualification,
     }
 }
 
 /// Run every cell of a campaign matrix on a bounded worker pool, returning
-/// `(outcome, eval-cache stats)` per cell in matrix order. Cells share the
-/// default matrix-scoped cache (see [`MatrixOptions::new`]); the stats and
-/// outcomes are bit-identical either way.
+/// `(outcome, eval-cache stats)` per cell in matrix order.
 pub fn run_campaign_matrix(
     cells: &[CampaignSpec],
     workers: usize,
@@ -591,47 +538,6 @@ mod tests {
                 "available={available} lookahead={lookahead}"
             );
         }
-    }
-
-    #[test]
-    fn matrix_report_shares_the_cache_without_changing_outcomes() {
-        // The tentpole contract at the harness level: the same two-cell
-        // grid with sharing on and off produces identical outcomes and
-        // local stats; only the shared counters differ. (The cross-cell
-        // sharing *gain* is proven in tests/eval_cache.rs.)
-        // Execution mode pinned: memoization on (sharing rides on the local
-        // cache; COLLIE_MEMOIZE=0 leg), speculation off (lookahead workers
-        // would give even the no-sharing baseline a campaign-private shared
-        // cache; COLLIE_SPECULATION=4 leg).
-        let budget = SimDuration::from_secs(900);
-        let config = SearchConfig::random(0)
-            .with_budget(budget)
-            .with_memoization(true)
-            .with_speculation(None);
-        let cells = [
-            CampaignSpec::seeded(SubsystemId::F, &config, 5),
-            CampaignSpec::seeded(SubsystemId::F, &config, 5),
-        ];
-        let shared = run_campaign_matrix_report(&cells, &MatrixOptions::new(2));
-        let solo =
-            run_campaign_matrix_report(&cells, &MatrixOptions::new(2).without_shared_cache());
-        assert_eq!(solo.cache, collie_core::eval::CacheTotals::default());
-        for (a, b) in shared.cells.iter().zip(&solo.cells) {
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(b.shared, SharedUse::default());
-            assert!(a.wall_secs >= 0.0 && b.wall_secs >= 0.0);
-        }
-        // Identical seeds ask for identical points: the shared totals cover
-        // every miss. (>= rather than ==: under COLLIE_SPECULATION the
-        // lookahead workers also publish into the same matrix cache.)
-        let asks: u64 = shared
-            .cells
-            .iter()
-            .map(|c| c.shared.computed + c.shared.served)
-            .sum();
-        assert!(shared.cache.computed + shared.cache.served >= asks);
-        assert!(shared.cache.served > 0, "twin cells must share computes");
     }
 
     #[test]

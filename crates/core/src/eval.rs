@@ -81,8 +81,8 @@ struct Shard<P, M> {
 }
 
 /// A sharded concurrent memo cache shared between a committing evaluator
-/// and its speculation workers — and, since the matrix-scoped refactor,
-/// between every cell of a campaign matrix (see [`EvalContext`]).
+/// and its speculation workers, or between every campaign attached to one
+/// [`EvalContext`].
 ///
 /// Each point is computed exactly once no matter how many threads ask for
 /// it: the first asker installs a pending claim, everyone else
@@ -129,9 +129,9 @@ impl<P: Clone + Eq + Hash, M> SharedCache<P, M> {
     }
 
     /// An empty cache holding at most `capacity` published measurements
-    /// (clamped to at least 1), evicting in publication (FIFO) order. The
-    /// matrix-scoped cache is bounded so a fleet-size grid cannot grow it
-    /// without bound; eviction is safe because an evicted point simply
+    /// (clamped to at least 1), evicting in publication (FIFO) order. An
+    /// [`EvalContext`]'s caches are bounded so a fleet-size grid cannot grow
+    /// them without bound; eviction is safe because an evicted point simply
     /// recomputes on its next ask.
     pub fn bounded(capacity: usize) -> Self {
         SharedCache {
@@ -309,7 +309,7 @@ impl std::ops::Add for CacheTotals {
 
 /// How one evaluator interacted with its attached [`SharedCache`]: local
 /// misses it computed through the cache vs. local misses another thread
-/// (a speculation worker or a sibling matrix cell) had already published.
+/// (a speculation worker or a sibling campaign) had already published.
 ///
 /// Kept separate from [`EvalStats`] on purpose: the hit/miss stats are part
 /// of the bit-identity contract (equal across serial, speculative, shared,
@@ -324,20 +324,20 @@ pub struct SharedUse {
     pub served: u64,
 }
 
-/// The matrix-scoped evaluation context: one bundle of [`SharedCache`]s
-/// created at the top of a campaign matrix and attached to every cell's
-/// evaluator, so identical canonical points measured by different
-/// strategy×seed cells are computed once per matrix instead of once per
-/// cell.
+/// A cross-campaign evaluation context: one bundle of [`SharedCache`]s that
+/// every attached evaluator reads through, so identical canonical points
+/// measured by different campaigns are computed once per context. The
+/// campaign matrix runners build none: a private memo cache per cell
+/// measured faster than sharing one across cells. The campaign benchmark's
+/// traced rounds attach to one.
 ///
 /// Caches are scoped **per subsystem** (a [`SearchPoint`] measured on
 /// subsystem F and on subsystem H are different experiments, so one flat
 /// cache keyed by point would serve wrong measurements on a mixed grid)
-/// and per point type (two-host workload vs. fabric). Ownership flows
-/// matrix → campaign → evaluator: each cell's evaluator reads through the
-/// attached cache on a local miss but keeps committing through its *local*
-/// cache, so [`EvalStats`] and every golden-trace fixture are byte-identical
-/// with the context attached or not.
+/// and per point type (two-host workload vs. fabric). Each evaluator reads
+/// through the attached cache on a local miss but keeps committing through
+/// its *local* cache, so [`EvalStats`] and every golden-trace fixture are
+/// byte-identical with the context attached or not.
 #[derive(Debug)]
 pub struct EvalContext {
     /// Capacity for each per-subsystem cache (`None` = unbounded).
@@ -500,7 +500,7 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    /// Attach a matrix-scoped [`SharedCache`] (usually obtained from an
+    /// Attach a cross-campaign [`SharedCache`] (usually obtained from an
     /// [`EvalContext`]): local misses will consult it before running the
     /// flow model, and [`Evaluator::speculation`] will reuse it instead of
     /// creating a per-campaign cache. A no-op on an uncached evaluator —
@@ -609,8 +609,8 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Prepare shared-cache speculation: wires a [`SharedCache`] into this
-    /// evaluator — reusing an attached matrix-scoped cache when one is
-    /// present, so speculation workers publish where sibling cells read —
+    /// evaluator — reusing an attached cross-campaign cache when one is
+    /// present, so speculation workers publish where sibling campaigns read —
     /// and forks `workers` independent engines for the worker threads.
     /// Returns `None` when memoization is off (without a memo cache,
     /// speculated results could not be handed back to the committing loop)

@@ -20,7 +20,7 @@
 //! relabelled random baseline.
 
 use super::{FabricEngine, FabricEvaluator};
-use crate::eval::{EvalStats, SharedCache, SharedUse};
+use crate::eval::EvalStats;
 use crate::monitor::{AnomalyMonitor, FeatureCondition, Symptom};
 use crate::search::domain::{CampaignReport, ExtractionCost, SearchDomain};
 use crate::search::kernel::{run_annealing, run_bayesian, run_random, CampaignLoop};
@@ -362,21 +362,6 @@ pub fn run_fabric_search_with_stats(
     space: &FabricSpace,
     config: &SearchConfig,
 ) -> (FabricOutcome, EvalStats) {
-    let (outcome, stats, _) = run_fabric_search_in_context(engine, space, config, None);
-    (outcome, stats)
-}
-
-/// Run one fabric campaign with an optional matrix-scoped [`SharedCache`]
-/// attached (see [`crate::eval::EvalContext`]): the fabric counterpart of
-/// [`run_search_in_context`](crate::search::run_search_in_context), with
-/// the same bit-identity contract — commits go through the evaluator's
-/// local cache, so the outcome and stats are independent of `shared`.
-pub fn run_fabric_search_in_context(
-    engine: &mut FabricEngine,
-    space: &FabricSpace,
-    config: &SearchConfig,
-    shared: Option<std::sync::Arc<SharedCache<FabricPoint, FabricMeasurement>>>,
-) -> (FabricOutcome, EvalStats, SharedUse) {
     // The two-host compat knobs (`identity_dedup: false`,
     // `stuck_skip_limit: None`) never describe a fabric behaviour: the
     // fabric stack always had identity-keyed dedup and a stuck-walk escape
@@ -396,9 +381,6 @@ pub fn run_fabric_search_in_context(
     } else {
         FabricEvaluator::uncached(engine)
     };
-    if let Some(shared) = shared {
-        evaluator.attach_shared(shared);
-    }
     let outcome = {
         let domain = FabricDomain::new(&mut evaluator, &monitor, space, config.signal);
         let mut campaign = CampaignLoop::new(domain, config);
@@ -418,7 +400,7 @@ pub fn run_fabric_search_in_context(
         }
         FabricOutcome::from_report(format!("{} fabric", config.label()), campaign.finish())
     };
-    (outcome, evaluator.stats(), evaluator.shared_use())
+    (outcome, evaluator.stats())
 }
 
 #[cfg(test)]

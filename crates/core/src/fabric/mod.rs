@@ -30,8 +30,7 @@ mod campaign;
 mod mfs;
 
 pub use campaign::{
-    run_fabric_search, run_fabric_search_in_context, run_fabric_search_with_stats, FabricDiscovery,
-    FabricDomain, FabricOutcome,
+    run_fabric_search, run_fabric_search_with_stats, FabricDiscovery, FabricDomain, FabricOutcome,
 };
 pub use mfs::{FabricExtractionOutcome, FabricMfs, FabricMfsExtractor, FabricSignature};
 
@@ -222,7 +221,7 @@ impl<'e> FabricEvaluator<'e> {
         }
     }
 
-    /// Attach a matrix-scoped shared cache (see
+    /// Attach a cross-campaign shared cache (see
     /// [`Evaluator::attach_shared`](crate::eval::Evaluator::attach_shared)):
     /// local misses are answered through `shared` while [`Self::stats`] stay
     /// bit-identical. No-op when memoization is off.
@@ -306,8 +305,8 @@ impl<'e> FabricEvaluator<'e> {
         if !self.memoize || workers == 0 {
             return None;
         }
-        // Reuse a matrix-scoped cache when one is attached so speculation
-        // workers publish where sibling cells can read; otherwise the cache
+        // Reuse a cross-campaign cache when one is attached so speculation
+        // workers publish where sibling campaigns can read; otherwise the cache
         // is private to this campaign.
         let shared = match &self.shared {
             Some(shared) => Arc::clone(shared),

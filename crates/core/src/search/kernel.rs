@@ -199,10 +199,10 @@ impl<'c, D: SearchDomain> CampaignLoop<'c, D> {
     /// wastes worker time. No-op when `lookahead` is 0 or the domain
     /// cannot speculate (e.g. its evaluator is uncached).
     ///
-    /// When the evaluator carries a matrix-scoped cache (see
+    /// When the evaluator carries a cross-campaign cache (see
     /// [`EvalContext`](crate::eval::EvalContext)) the workers publish into
     /// that cache instead of a campaign-private one, so speculative
-    /// computes are visible to sibling grid cells; the planner's
+    /// computes are visible to sibling campaigns; the planner's
     /// shared-cache peeks only affect which points get *pre*-computed,
     /// never the committed stream, so the bit-identity contract holds
     /// unchanged.

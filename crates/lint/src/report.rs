@@ -203,4 +203,70 @@ mod tests {
         clean.violations.clear();
         assert!(render_text(&clean).contains("clean: no violations"));
     }
+
+    #[test]
+    fn malformed_lint_json_is_an_error_never_a_panic() {
+        // A `LINT.json` truncated or corrupted on disk must load as an
+        // error: bytes to UTF-8, UTF-8 to a report, then the validity gate.
+        // Every proper prefix of a multi-violation report is incomplete
+        // JSON; 0x01, 0x20 and 0x80 flips of every byte may change a value,
+        // but none may panic, and a flipped structural byte must not load.
+        let mut report = sample();
+        report.violations.push(Violation {
+            rule: "env-registry".to_string(),
+            file: "crates/core/src/env.rs".to_string(),
+            line: 12,
+            column: 9,
+            message: "`COLLIE_X` is not in \"HOOKS\"".to_string(),
+        });
+        report.violations.push(Violation {
+            column: 17,
+            ..report.violations[0].clone()
+        });
+        let text = serde_json::to_string_pretty(&report).expect("serialize");
+        let load = |bytes: &[u8]| {
+            std::panic::catch_unwind(|| -> Result<LintReport, String> {
+                let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+                let report: LintReport = serde_json::from_str(text).map_err(|e| e.to_string())?;
+                validate_lint_report(&report)?;
+                Ok(report)
+            })
+            .unwrap_or_else(|_| panic!("loading panicked on {:?}", String::from_utf8_lossy(bytes)))
+        };
+        assert_eq!(load(text.as_bytes()), Ok(report));
+        let mut cases = 0;
+        for (end, _) in text.char_indices() {
+            assert!(
+                load(&text.as_bytes()[..end]).is_err(),
+                "prefix of {end} bytes loaded"
+            );
+            cases += 1;
+        }
+        let mut in_string = false;
+        let mut escaped = false;
+        for (at, &byte) in text.as_bytes().iter().enumerate() {
+            let structural =
+                (byte == b'"' && !escaped) || (!in_string && b"{}[]:,".contains(&byte));
+            if in_string {
+                escaped = !escaped && byte == b'\\';
+            }
+            if byte == b'"' && structural {
+                in_string = !in_string;
+            }
+            for mask in [0x01, 0x20, 0x80] {
+                let mut flipped = text.clone().into_bytes();
+                flipped[at] ^= mask;
+                let result = load(&flipped);
+                if structural {
+                    assert!(
+                        result.is_err(),
+                        "flipping {:?} at byte {at} loaded",
+                        byte as char
+                    );
+                }
+                cases += 1;
+            }
+        }
+        assert!(cases > 1_000, "only {cases} malformed inputs tried");
+    }
 }

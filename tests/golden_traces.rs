@@ -35,8 +35,8 @@
 //! historical and must never be regenerated.)
 
 use collie_bench::{
-    run_campaign_matrix, run_campaign_matrix_report, run_fabric_campaign_matrix,
-    run_fabric_campaign_matrix_report, CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
+    run_campaign_matrix, run_campaign_matrix_report, run_fabric_campaign_matrix, CampaignSpec,
+    MatrixOptions, MatrixReport, DEFAULT_SEEDS,
 };
 use collie_core::fabric::FabricOutcome;
 use collie_core::search::{SearchConfig, SearchOutcome, SignalMode};
@@ -370,15 +370,15 @@ fn assert_same_stream(name: &str, oracle: &str, replay: &str) {
     for (line_no, (want, got)) in oracle.lines().zip(replay.lines()).enumerate() {
         if want != got {
             panic!(
-                "{name}: speculative replay diverged from the serial oracle at line {}:\n  \
-                 serial:      {want}\n  speculative: {got}",
+                "{name}: replay diverged from the oracle at line {}:\n  \
+                 oracle: {want}\n  replay: {got}",
                 line_no + 1
             );
         }
     }
     panic!(
-        "{name}: speculative replay diverged from the serial oracle: line counts \
-         differ (serial {}, speculative {})",
+        "{name}: replay diverged from the oracle: line counts differ \
+         (oracle {}, replay {})",
         oracle.lines().count(),
         replay.lines().count()
     );
@@ -431,40 +431,32 @@ fn golden_grids_replay_bit_identically_under_speculation() {
 }
 
 #[test]
-fn golden_grids_are_cache_sharing_independent() {
-    // The PR 7 tentpole's differential statement: `run_campaign_matrix`
-    // now threads one matrix-scoped shared cache through every cell (so
-    // every fixture test above already runs sharing-ON), and turning the
-    // sharing *off* must reproduce the same golden streams byte for byte —
-    // commits go through each cell's local cache either way. One
-    // second-generation grid per stack keeps the runtime in budget; the
-    // full fixture set runs the sharing-ON leg above.
+fn matrix_cells_share_no_state_across_pool_widths() {
+    // Every matrix cell owns its engine and its evaluator's memo cache, so
+    // the pool width only changes which thread runs a cell. One worker runs
+    // the fig4 grid's cells back to back on one thread, three interleave
+    // them: both must give the same outcomes and the same cache stats.
     let cells = fig4_cells();
-    let oracle = render_two_host(&cells);
-    let solo = run_campaign_matrix_report(&cells, &MatrixOptions::new(2).without_shared_cache());
-    let golden: Vec<GoldenCell> = cells
-        .iter()
-        .zip(&solo.cells)
-        .map(|(cell, result)| GoldenCell::from_search(&result.outcome, cell.config.seed))
-        .collect();
-    let replay = serde_json::to_string_pretty(&golden).expect("golden cells serialize");
+    let serial = run_campaign_matrix_report(&cells, &MatrixOptions::new(1));
+    let pooled = run_campaign_matrix_report(&cells, &MatrixOptions::new(3));
+    let render = |report: &MatrixReport<SearchOutcome>| {
+        let golden: Vec<GoldenCell> = cells
+            .iter()
+            .zip(&report.cells)
+            .map(|(cell, result)| GoldenCell::from_search(&result.outcome, cell.config.seed))
+            .collect();
+        serde_json::to_string_pretty(&golden).expect("golden cells serialize")
+    };
     assert_same_stream(
-        "golden_fig4_kernel.json (shared cache off)",
-        &oracle,
-        &replay,
+        "golden_fig4_kernel.json (1 vs 3 workers)",
+        &render(&serial),
+        &render(&pooled),
     );
-
-    let cells = fig7_bo_cells();
-    let oracle = render_fabric(&cells);
-    let solo =
-        run_fabric_campaign_matrix_report(&cells, &MatrixOptions::new(2).without_shared_cache());
-    let golden: Vec<GoldenCell> = cells
-        .iter()
-        .zip(&solo.cells)
-        .map(|(cell, result)| GoldenCell::from_fabric(&result.outcome, cell.config.seed))
-        .collect();
-    let replay = serde_json::to_string_pretty(&golden).expect("golden cells serialize");
-    assert_same_stream("golden_fig7_bo.json (shared cache off)", &oracle, &replay);
+    for (cell, (one, three)) in cells.iter().zip(serial.cells.iter().zip(&pooled.cells)) {
+        let label = format!("{} seed {}", cell.config.label(), cell.config.seed);
+        assert_eq!(one.outcome, three.outcome, "{label}");
+        assert_eq!(one.stats, three.stats, "{label}");
+    }
 }
 
 #[test]

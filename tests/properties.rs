@@ -1,8 +1,9 @@
 //! Property-based integration tests on cross-crate invariants.
 //!
 //! Rather than checking specific workloads, these tests sample the search
-//! space the way a campaign would and assert the invariants every layer of
-//! the stack promises:
+//! space the way a campaign would — on a subsystem drawn from all eight
+//! Table-1 subsystems A–H — and assert the invariants every layer of the
+//! stack promises:
 //!
 //! * measurements never exceed the RNIC specification (line rate / packet
 //!   rate), pause ratios are valid fractions, and counters are
@@ -18,23 +19,26 @@ use collie::prelude::*;
 use collie::sim::rng::SimRng;
 use proptest::prelude::*;
 
-fn space_f() -> SearchSpace {
-    SearchSpace::for_host(&SubsystemId::F.host())
+fn space_of(subsystem: SubsystemId) -> SearchSpace {
+    SearchSpace::for_host(&subsystem.host())
 }
 
-/// Sample a search point from an arbitrary seed, exactly as a campaign
-/// would draw it.
-fn point_from_seed(seed: u64) -> SearchPoint {
+/// Sample a search point on `subsystem` from an arbitrary seed, exactly as
+/// a campaign would draw it.
+fn point_from_seed(subsystem: SubsystemId, seed: u64) -> SearchPoint {
     let mut rng = SimRng::new(seed);
-    space_f().random_point(&mut rng)
+    space_of(subsystem).random_point(&mut rng)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64 })]
 
     #[test]
-    fn sampled_points_are_well_formed_and_mutation_preserves_validity(seed in any::<u64>()) {
-        let space = space_f();
+    fn sampled_points_are_well_formed_and_mutation_preserves_validity(
+        pick in 0usize..8,
+        seed in any::<u64>(),
+    ) {
+        let space = space_of(SubsystemId::ALL[pick]);
         let mut rng = SimRng::new(seed);
         let point = space.random_point(&mut rng);
         prop_assert!(point.is_well_formed(&space));
@@ -46,9 +50,10 @@ proptest! {
     }
 
     #[test]
-    fn measurements_respect_the_rnic_specification(seed in any::<u64>()) {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let point = point_from_seed(seed);
+    fn measurements_respect_the_rnic_specification(pick in 0usize..8, seed in any::<u64>()) {
+        let subsystem = SubsystemId::ALL[pick];
+        let mut engine = WorkloadEngine::for_catalog(subsystem);
+        let point = point_from_seed(subsystem, seed);
         let measurement = engine.measure(&point);
         let spec = &engine.subsystem().rnic;
 
@@ -79,20 +84,22 @@ proptest! {
     }
 
     #[test]
-    fn measurement_is_deterministic(seed in any::<u64>()) {
-        let point = point_from_seed(seed);
-        let mut engine_a = WorkloadEngine::for_catalog(SubsystemId::F);
-        let mut engine_b = WorkloadEngine::for_catalog(SubsystemId::F);
+    fn measurement_is_deterministic(pick in 0usize..8, seed in any::<u64>()) {
+        let subsystem = SubsystemId::ALL[pick];
+        let point = point_from_seed(subsystem, seed);
+        let mut engine_a = WorkloadEngine::for_catalog(subsystem);
+        let mut engine_b = WorkloadEngine::for_catalog(subsystem);
         let a = engine_a.measure(&point);
         let b = engine_b.measure(&point);
         prop_assert_eq!(a, b);
     }
 
     #[test]
-    fn verdict_is_consistent_with_thresholds(seed in any::<u64>()) {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
+    fn verdict_is_consistent_with_thresholds(pick in 0usize..8, seed in any::<u64>()) {
+        let subsystem = SubsystemId::ALL[pick];
+        let mut engine = WorkloadEngine::for_catalog(subsystem);
         let monitor = AnomalyMonitor::new();
-        let point = point_from_seed(seed);
+        let point = point_from_seed(subsystem, seed);
         let (measurement, verdict) = monitor.measure_and_assess(&mut engine, &point);
 
         prop_assert_eq!(verdict.pause_ratio, measurement.max_pause_ratio());
@@ -110,9 +117,12 @@ proptest! {
     }
 
     #[test]
-    fn restrictions_are_never_violated_by_sampling_or_mutation(seed in any::<u64>()) {
+    fn restrictions_are_never_violated_by_sampling_or_mutation(
+        pick in 0usize..8,
+        seed in any::<u64>(),
+    ) {
         let restriction = SpaceRestriction::rpc_library();
-        let space = space_f().restricted(restriction.clone());
+        let space = space_of(SubsystemId::ALL[pick]).restricted(restriction.clone());
         let mut rng = SimRng::new(seed);
         let mut point = space.random_point(&mut rng);
         prop_assert!(restriction.allows(&point));
@@ -123,8 +133,8 @@ proptest! {
     }
 
     #[test]
-    fn experiment_cost_stays_in_the_documented_band(seed in any::<u64>()) {
-        let point = point_from_seed(seed);
+    fn experiment_cost_stays_in_the_documented_band(pick in 0usize..8, seed in any::<u64>()) {
+        let point = point_from_seed(SubsystemId::ALL[pick], seed);
         let cost = WorkloadEngine::experiment_cost(&point).as_secs_f64();
         prop_assert!((20.0..=60.0).contains(&cost), "cost {cost} outside 20–60 s");
     }
@@ -260,7 +270,7 @@ proptest! {
 /// single (seeded) scenario rather than a sampled property.
 #[test]
 fn campaign_is_a_pure_function_of_its_seed() {
-    let space = space_f();
+    let space = space_of(SubsystemId::F);
     let config = SearchConfig::collie(2024).with_budget(SimDuration::from_secs(1800));
     let mut first = WorkloadEngine::for_catalog(SubsystemId::F);
     let mut second = WorkloadEngine::for_catalog(SubsystemId::F);
