@@ -92,13 +92,6 @@ fn main() {
         default_workers(),
         wall.as_secs_f64()
     );
-    match SearchConfig::default_speculation() {
-        Some(lookahead) => eprintln!(
-            "speculation: in-campaign lookahead {lookahead} (COLLIE_SPECULATION); \
-             outputs are bit-identical to serial"
-        ),
-        None => eprintln!("speculation: off (serial campaign loops)"),
-    }
 
     println!("Figure 5: counter-family and MFS ablation on subsystem F\n");
     println!(

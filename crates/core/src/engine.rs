@@ -51,10 +51,12 @@ impl WorkloadEngine {
 
     /// An independent engine over the same subsystem configuration.
     ///
-    /// Speculation workers need their own engine: `Subsystem` is `Clone`,
-    /// but a clone would share the counter registry handle with the
-    /// original, so two engines measuring concurrently would race on
-    /// counter state. The fork instead reassembles the subsystem from its
+    /// [`remedy`](crate::remedy) qualifies each remediation plan on a
+    /// fresh fork, and the campaign benchmark forks one prototype engine
+    /// per campaign. `Subsystem` is `Clone`, but a clone would share the
+    /// counter registry handle with the original, so two engines would
+    /// publish into one counter state (and race on it when measuring
+    /// concurrently). The fork instead reassembles the subsystem from its
     /// configuration, giving it a fresh registry, counters, and switch —
     /// [`WorkloadEngine::measure`]'s determinism contract guarantees the
     /// fork measures identically to its parent.
@@ -154,18 +156,6 @@ impl WorkloadEngine {
     pub fn measure(&mut self, point: &SearchPoint) -> Measurement {
         let workload = self.translate(point);
         self.subsystem.evaluate(&workload)
-    }
-
-    /// Run one experiment per point, in order — the batched entry the
-    /// speculation planners feed whole lookahead sets through. Semantically
-    /// identical to calling [`WorkloadEngine::measure`] per point (the
-    /// determinism contract makes that a definition, not an
-    /// approximation); with the incremental path enabled the points of a
-    /// batch share per-flow rule and per-direction fluid stage work through
-    /// the subsystem's delta caches, which is where the batch speedup comes
-    /// from.
-    pub fn measure_batch(&mut self, points: &[SearchPoint]) -> Vec<Measurement> {
-        points.iter().map(|point| self.measure(point)).collect()
     }
 
     /// How long this experiment would take on real hardware. The paper
@@ -470,30 +460,6 @@ mod tests {
             .run_via_verbs(&p)
             .expect("tiny messages must not underflow the SGE split");
         assert!(m.total_throughput().bits_per_sec() >= 0.0);
-    }
-
-    #[test]
-    fn measure_batch_matches_serial_measures_in_both_modes() {
-        let mut p2 = SearchPoint::benign();
-        p2.transport = Transport::Ud;
-        p2.opcode = Opcode::Send;
-        p2.wqe_batch = 64;
-        p2.recv_queue_depth = 256;
-        p2.messages = vec![2048];
-        p2.mtu = 2048;
-        let mut p3 = p2.clone();
-        p3.wqe_batch = 8;
-        let points = [SearchPoint::benign(), p2, p3, SearchPoint::benign()];
-
-        let mut serial = engine();
-        let expected: Vec<_> = points.iter().map(|p| serial.measure(p)).collect();
-        for incremental in [false, true] {
-            let mut batched = engine();
-            batched.set_incremental(incremental);
-            assert_eq!(batched.measure_batch(&points), expected);
-            let reuse = batched.subsystem().incremental_use();
-            assert_eq!(reuse.total_hits() > 0, incremental, "{reuse:?}");
-        }
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //!
 //! The parsers are separated from the env reads so they can be tested
 //! without mutating process-global state under a parallel test runner;
-//! the typed readers ([`memoize`], [`speculation`], [`incremental`],
-//! [`workers`]) are the only places in the workspace that actually read a
-//! `COLLIE_*` variable.
+//! the typed readers ([`memoize`], [`incremental`], [`workers`]) are the
+//! only places in the workspace that actually read a `COLLIE_*` variable.
 
 /// One registered environment hook: the variable name, its default when
 /// unset, the accepted grammar (clamps included), and what it steers.
@@ -31,21 +30,13 @@ pub struct Hook {
 /// Every `COLLIE_*` hook the workspace honours. `collie-lint` rejects any
 /// env read whose name is missing here, and checks each entry is
 /// documented in the README table.
-pub const HOOKS: [Hook; 4] = [
+pub const HOOKS: [Hook; 3] = [
     Hook {
         name: "COLLIE_MEMOIZE",
         default: "on",
         grammar: "`0` / `false` / `off` (case-insensitive) disable; anything else is on",
         doc: "Constructor default for measurement memoization; outcomes are \
               bit-identical either way (CI runs an uncached leg).",
-    },
-    Hook {
-        name: "COLLIE_SPECULATION",
-        default: "off (serial)",
-        grammar: "a lookahead depth (clamped to 64; `0` disables) or `on` / `true` / `yes` \
-                  for the default depth 4; malformed values stay serial",
-        doc: "Constructor default for speculative lookahead; commits stay in \
-              RNG-stream order so outcomes are bit-identical either way.",
     },
     Hook {
         name: "COLLIE_INCREMENTAL",
@@ -56,10 +47,9 @@ pub const HOOKS: [Hook; 4] = [
     },
     Hook {
         name: "COLLIE_WORKERS",
-        default: "auto (machine parallelism through the global worker budget)",
+        default: "auto (machine parallelism, clamped to 2..=16)",
         grammar: "a positive integer; `0` clamps to 1; malformed values fall back to auto",
-        doc: "Matrix worker-pool width override; bypasses the speculation-aware \
-              worker budget entirely.",
+        doc: "Matrix worker-pool width override.",
     },
 ];
 
@@ -68,14 +58,6 @@ pub const HOOKS: [Hook; 4] = [
 pub fn hook(name: &str) -> Option<&'static Hook> {
     HOOKS.iter().find(|hook| hook.name == name)
 }
-
-/// The lookahead depth `COLLIE_SPECULATION=on` selects.
-pub const DEFAULT_SPECULATION_LOOKAHEAD: usize = 4;
-
-/// Ceiling on the lookahead depth an environment value can request: deeper
-/// speculation only wastes mis-speculated work, and a typo like
-/// `COLLIE_SPECULATION=1000000` must not spawn a thread per unit.
-pub const MAX_SPECULATION_LOOKAHEAD: usize = 64;
 
 /// Read one registered hook from the process environment. Private so the
 /// typed readers below stay the only consumers; `debug_assert`s that the
@@ -90,11 +72,6 @@ pub fn memoize() -> bool {
     parse_memoize(read("COLLIE_MEMOIZE").as_deref())
 }
 
-/// The process-wide `COLLIE_SPECULATION` setting (see [`HOOKS`]).
-pub fn speculation() -> Option<usize> {
-    parse_speculation(read("COLLIE_SPECULATION").as_deref())
-}
-
 /// The process-wide `COLLIE_INCREMENTAL` setting (see [`HOOKS`]).
 pub fn incremental() -> bool {
     parse_incremental(read("COLLIE_INCREMENTAL").as_deref())
@@ -102,7 +79,7 @@ pub fn incremental() -> bool {
 
 /// The process-wide `COLLIE_WORKERS` override (see [`HOOKS`]); `None`
 /// when unset or malformed (the caller falls back to the automatic
-/// budgeted width).
+/// width).
 pub fn workers() -> Option<usize> {
     parse_workers(read("COLLIE_WORKERS").as_deref())
 }
@@ -112,25 +89,6 @@ pub fn workers() -> Option<usize> {
 /// on.
 pub fn parse_memoize(value: Option<&str>) -> bool {
     parse_enabled(value)
-}
-
-/// `COLLIE_SPECULATION` parser. Numeric values pick the lookahead depth
-/// (`0` disables); `on`/`true`/`yes` pick the default depth; `off`/
-/// `false`/empty and anything unparsable stay serial — speculation is an
-/// opt-in accelerator, so a malformed value must fail safe (serial is
-/// always correct).
-pub fn parse_speculation(value: Option<&str>) -> Option<usize> {
-    let value = value?.trim();
-    if value.is_empty() {
-        return None;
-    }
-    if let Ok(depth) = value.parse::<usize>() {
-        return (depth > 0).then(|| depth.min(MAX_SPECULATION_LOOKAHEAD));
-    }
-    ["on", "true", "yes"]
-        .iter()
-        .any(|enable| value.eq_ignore_ascii_case(enable))
-        .then_some(DEFAULT_SPECULATION_LOOKAHEAD)
 }
 
 /// `COLLIE_INCREMENTAL` parser. Same grammar as [`parse_memoize`]:
@@ -200,36 +158,6 @@ mod tests {
             (None, true),
         ] {
             assert_eq!(parse_memoize(value), expected, "COLLIE_MEMOIZE={value:?}");
-        }
-    }
-
-    #[test]
-    fn speculation_parser_honours_the_toggle_values() {
-        // CI exports COLLIE_SPECULATION=4 for the speculative matrix leg;
-        // this pins the parser without touching process-global state.
-        for (value, expected) in [
-            (None, None),
-            (Some(""), None),
-            (Some("  "), None),
-            (Some("0"), None),
-            (Some("off"), None),
-            (Some("OFF"), None),
-            (Some("false"), None),
-            (Some("no such depth"), None),
-            (Some("-3"), None),
-            (Some("4"), Some(4)),
-            (Some(" 2 "), Some(2)),
-            (Some("1"), Some(1)),
-            (Some("1000000"), Some(64)),
-            (Some("on"), Some(4)),
-            (Some("TRUE"), Some(4)),
-            (Some("yes"), Some(4)),
-        ] {
-            assert_eq!(
-                parse_speculation(value),
-                expected,
-                "COLLIE_SPECULATION={value:?}"
-            );
         }
     }
 

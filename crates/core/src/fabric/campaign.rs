@@ -217,18 +217,6 @@ impl SearchDomain for FabricDomain<'_, '_> {
         self.evaluator.stats()
     }
 
-    fn speculation(
-        &mut self,
-        workers: usize,
-    ) -> Option<crate::eval::SpeculationParts<FabricPoint, Self::Measurement>> {
-        self.evaluator.speculation(workers)
-    }
-
-    fn judge(&self, measurement: &Self::Measurement) -> Option<Self::Identity> {
-        let verdict = crate::fabric::assess_fabric(self.monitor, measurement);
-        verdict.symptom.map(|symptom| (symptom, verdict.cross_host))
-    }
-
     fn traced_counter(&self) -> &'static str {
         match self.signal {
             SignalMode::Diagnostic => fabric_gauges::VICTIM_PAUSE_RATIO,
@@ -384,9 +372,6 @@ pub fn run_fabric_search_with_stats(
     let outcome = {
         let domain = FabricDomain::new(&mut evaluator, &monitor, space, config.signal);
         let mut campaign = CampaignLoop::new(domain, config);
-        if let Some(lookahead) = config.speculation {
-            campaign.enable_speculation(lookahead);
-        }
         // One arm per strategy, each dispatching to the generic kernel driver
         // of the same name: the outcome's label (derived from the strategy by
         // `SearchConfig::label`) always names the driver that actually ran.

@@ -69,7 +69,7 @@ impl ExtractionCost {
 pub trait SearchDomain {
     /// A point of the space (one experiment description). `Eq + Hash`
     /// because points key memo caches — both the evaluator's local map and
-    /// the concurrent cache speculation shares across threads.
+    /// an attached [`SharedCache`](crate::eval::SharedCache).
     type Point: Clone + Eq + std::hash::Hash;
     /// One coordinate name of the feature projection.
     type Feature: Copy + Ord;
@@ -129,12 +129,12 @@ pub trait SearchDomain {
     /// Cache statistics of the domain's evaluator.
     fn eval_stats(&self) -> EvalStats;
 
-    // --- speculation (optional) ---
+    // --- retired hooks ---
 
-    /// Prepare speculative evaluation: wire a shared concurrent memo cache
-    /// into the domain's evaluator and fork `workers` independent compute
-    /// engines. Domains that cannot (or whose evaluator is uncached)
-    /// return `None` and the kernel stays serial.
+    /// Always `None`; the kernel never calls it.
+    ///
+    /// Kept only because `campaign_bench/` names it; delete with the next
+    /// benchmark PR.
     fn speculation(
         &mut self,
         workers: usize,
@@ -143,12 +143,10 @@ pub trait SearchDomain {
         None
     }
 
-    /// Re-derive the anomaly identity from a bare measurement *without*
-    /// touching the evaluator or its stats — a pure prediction hint the
-    /// speculation planner uses to guess whether a measured point would
-    /// commit a new MFS. `None` means the domain offers no such hint (the
-    /// planner then assumes no discovery). Never consulted on the commit
-    /// path, so it cannot affect campaign output.
+    /// Always `None`; the kernel never calls it.
+    ///
+    /// Kept only because `campaign_bench/` names it; delete with the next
+    /// benchmark PR.
     fn judge(&self, measurement: &Self::Measurement) -> Option<Self::Identity> {
         let _ = measurement;
         None

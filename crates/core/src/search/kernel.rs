@@ -32,7 +32,6 @@
 //!   pre-kernel two-host walk); the defaults are pinned by the
 //!   `*_kernel.json` golden fixtures.
 
-use crate::eval::{Claim, SharedCache};
 use crate::search::domain::{CampaignReport, ExtractionCost, SearchDomain};
 use crate::search::{RuleHit, SearchConfig};
 use crate::space::FeatureValue;
@@ -40,9 +39,7 @@ use collie_sim::rng::SimRng;
 use collie_sim::series::TimeSeries;
 use collie_sim::stats::OnlineStats;
 use collie_sim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How many redundant (MFS-covered) samples the random baseline may reject
 /// in a row before testing the next sample anyway. Rejecting a sample costs
@@ -53,98 +50,12 @@ const MAX_CONSECUTIVE_SKIPS: u32 = 256;
 /// Bounded re-draws applied to the post-discovery (line 17) restart.
 const MAX_RESTART_REDRAWS: usize = 8;
 
-/// Hard bound on simulated steps per speculation-planner invocation. The
-/// planners replay the committed loop on cloned RNG state; a legacy
-/// configuration whose space is saturated by MFSes can make that replay
-/// spin on free skips exactly like the committed loop would, so planning
-/// is cut off rather than trusted to converge.
-const SPEC_MAX_SIM_STEPS: usize = 512;
-
 /// Number of candidates the BO baseline proposes per round.
 const CANDIDATES_PER_ROUND: usize = 8;
 /// Number of neighbours used by the BO surrogate.
 const NEIGHBOURS: usize = 3;
 /// Weight of the BO exploration bonus relative to the predicted value.
 const EXPLORATION_WEIGHT: f64 = 0.3;
-
-/// Speculative-evaluation state of one campaign (DESIGN.md §9).
-///
-/// The commit path reads worker output only through the shared memo
-/// cache, and the committed RNG stream is never advanced by prediction —
-/// planners *clone* the RNG. Speculation therefore cannot change campaign
-/// output, only when measurements get computed.
-struct SpecState<D: SearchDomain> {
-    /// How many proposals the planners keep in flight.
-    lookahead: usize,
-    shared: Arc<SharedCache<D::Point, D::Measurement>>,
-    /// Sending half of the work queue. Planners buffer their predicted
-    /// points into `pending` and [`CampaignLoop::spec_flush`] ships them
-    /// as *batches* (one `Vec` per send), so a worker dequeues a whole
-    /// chunk of the lookahead set and evaluates it through
-    /// [`SpecWorker::compute_batch`](crate::eval::SpecWorker::compute_batch)
-    /// — on an incremental engine the chunk shares stage results. Dropped
-    /// on teardown so workers exit their receive loops.
-    tx: Option<mpsc::Sender<Vec<D::Point>>>,
-    /// Points queued by the current planning pass, not yet shipped.
-    pending: Vec<D::Point>,
-    handles: Vec<JoinHandle<()>>,
-    /// Every point ever queued, so re-planning the same future is free.
-    sent: HashSet<D::Point>,
-    /// The most recent sends (newest last), for backlog throttling.
-    recent: VecDeque<D::Point>,
-    /// Plan-input fingerprint (committed measurements, MFS-set size) of the
-    /// last planning pass, so planners no-op until a commit could actually
-    /// change the derived future (see [`CampaignLoop::spec_plan_due`]).
-    plan_epoch: Option<(u32, usize)>,
-}
-
-impl<D: SearchDomain> Drop for SpecState<D> {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// One branch of the annealing lookahead simulation.
-struct AnnealSim<D: SearchDomain> {
-    rng: SimRng,
-    current: D::Point,
-    /// Guiding value of `current`; `None` once it depends on a measurement
-    /// that has not been published yet.
-    value: Option<f64>,
-    temperature: f64,
-    /// Iterations remaining at this temperature, the next one included.
-    iterations_left: u32,
-    stuck_skips: u32,
-}
-
-// Manual impl: a derive would demand `D: Clone`, which the simulation
-// never needs.
-// collie-lint: begin(rng-clone, reason = "forking an annealing-simulation branch clones planner RNG state; the committed stream is never advanced by prediction")
-impl<D: SearchDomain> Clone for AnnealSim<D> {
-    fn clone(&self) -> Self {
-        AnnealSim {
-            rng: self.rng.clone(),
-            current: self.current.clone(),
-            value: self.value,
-            temperature: self.temperature,
-            iterations_left: self.iterations_left,
-            stuck_skips: self.stuck_skips,
-        }
-    }
-}
-// collie-lint: end(rng-clone)
-
-/// What one simulated annealing step would measure next.
-enum SpecEmit<P> {
-    /// The mutated candidate of Algorithm 1 line 4.
-    Candidate(P),
-    /// The fresh random point a restart (stuck-skip escape or schedule
-    /// rollover) measures.
-    Restart(P),
-}
 
 /// Mutable campaign state shared by every strategy, generic over the
 /// search domain.
@@ -160,7 +71,6 @@ pub struct CampaignLoop<'c, D: SearchDomain> {
     hit_rules: BTreeSet<String>,
     mfs_set: Vec<D::Mfs>,
     trace: TimeSeries,
-    spec: Option<SpecState<D>>,
     /// Test hook: every point actually measured, in measurement order
     /// (ranking probes included). Lets white-box tests state contracts
     /// like "no forced BO measurement landed inside a known MFS".
@@ -184,532 +94,10 @@ impl<'c, D: SearchDomain> CampaignLoop<'c, D> {
             hit_rules: BTreeSet::new(),
             mfs_set: Vec::new(),
             trace,
-            spec: None,
             #[cfg(test)]
             measured_log: Vec::new(),
         }
     }
-
-    /// Switch the campaign to speculative evaluation: planners pre-draw up
-    /// to `lookahead` likely next proposals from *clones* of the campaign
-    /// RNG, and worker threads compute them into a shared memo cache ahead
-    /// of the commit path. Commits still happen strictly in RNG-stream
-    /// order through [`CampaignLoop::measure`], so campaign output is
-    /// bit-identical to the serial loop; a mispredicted proposal only
-    /// wastes worker time. No-op when `lookahead` is 0 or the domain
-    /// cannot speculate (e.g. its evaluator is uncached).
-    ///
-    /// When the evaluator carries a cross-campaign cache (see
-    /// [`EvalContext`](crate::eval::EvalContext)) the workers publish into
-    /// that cache instead of a campaign-private one, so speculative
-    /// computes are visible to sibling campaigns; the planner's
-    /// shared-cache peeks only affect which points get *pre*-computed,
-    /// never the committed stream, so the bit-identity contract holds
-    /// unchanged.
-    pub fn enable_speculation(&mut self, lookahead: usize)
-    where
-        D::Point: Send + 'static,
-        D::Measurement: Send + Sync + 'static,
-    {
-        if lookahead == 0 || self.spec.is_some() {
-            return;
-        }
-        let threads = lookahead.min(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .max(2),
-        );
-        let Some(parts) = self.domain.speculation(threads) else {
-            return;
-        };
-        let (tx, rx) = mpsc::channel::<Vec<D::Point>>();
-        let rx = Arc::new(parking_lot::Mutex::new(rx));
-        let handles = parts
-            .workers
-            .into_iter()
-            .map(|mut worker| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&parts.shared);
-                std::thread::spawn(move || loop {
-                    // The guard is dropped at the end of the statement, so
-                    // only the dequeue is serialized, not the compute.
-                    let received = rx.lock().recv();
-                    let Ok(batch) = received else { break };
-                    // Claim first, then batch-compute only what this
-                    // worker owns: claim/fulfill stay per point, so the
-                    // cache protocol (and the committed stream reading
-                    // through it) is unchanged by batching.
-                    let claimed: Vec<D::Point> = batch
-                        .into_iter()
-                        .filter(|point| matches!(shared.try_claim(point), Claim::Mine))
-                        .collect();
-                    if claimed.is_empty() {
-                        continue;
-                    }
-                    let measurements = worker.compute_batch(&claimed);
-                    for (point, measurement) in claimed.into_iter().zip(measurements) {
-                        shared.fulfill(point, measurement);
-                    }
-                })
-            })
-            .collect();
-        self.spec = Some(SpecState {
-            lookahead,
-            shared: parts.shared,
-            tx: Some(tx),
-            pending: Vec::new(),
-            handles,
-            sent: HashSet::new(),
-            recent: VecDeque::new(),
-            plan_epoch: None,
-        });
-    }
-
-    /// True when the planners should not plan right now: speculation is
-    /// off, or every one of the last `lookahead` queued points is still in
-    /// flight — the workers are behind, and planning more would only grow
-    /// the backlog (this is what keeps speculative overhead near zero on a
-    /// saturated machine).
-    fn spec_throttled(&self) -> bool {
-        let Some(spec) = &self.spec else { return true };
-        spec.recent.len() >= spec.lookahead
-            && spec.recent.iter().all(|p| spec.shared.peek(p).is_none())
-    }
-
-    /// Whether the planners have new inputs to work with, stamping the
-    /// epoch when they do. A plan is a pure function of the committed
-    /// measurement count, the MFS set, and the RNG stream — and a
-    /// committed *skip* only advances the RNG past a draw the previous
-    /// plan already simulated, leaving the derived future unchanged. So
-    /// planners re-run only after a measurement commits or the MFS set
-    /// grows; anything else would re-derive an identical (fully
-    /// deduplicated) plan at full simulation cost. Without this gate the
-    /// skip-heavy random campaigns replan on every one of their tens of
-    /// thousands of skip iterations and planning dominates the wall-clock.
-    fn spec_plan_due(&mut self) -> bool {
-        let epoch = (self.experiments, self.mfs_set.len());
-        let Some(spec) = &mut self.spec else {
-            return false;
-        };
-        if spec.plan_epoch == Some(epoch) {
-            return false;
-        }
-        spec.plan_epoch = Some(epoch);
-        true
-    }
-
-    /// Non-counting replica of [`CampaignLoop::matches_known_mfs`]:
-    /// prediction must not touch the committed skip counter.
-    fn spec_predicts_skip(&self, point: &D::Point) -> bool {
-        self.config.use_mfs
-            && self
-                .mfs_set
-                .iter()
-                .any(|m| !D::mfs_is_empty(m) && D::mfs_matches(m, point))
-    }
-
-    /// Buffer one predicted proposal for the workers (deduplicated against
-    /// everything already queued or computed). Nothing is shipped until
-    /// [`CampaignLoop::spec_flush`] runs at the end of the planning pass,
-    /// so one pass's predictions travel as batches rather than as a point
-    /// per channel send.
-    fn spec_send(&mut self, point: D::Point) {
-        let Some(spec) = &mut self.spec else { return };
-        if spec.sent.contains(&point) || spec.shared.contains(&point) {
-            return;
-        }
-        spec.sent.insert(point.clone());
-        spec.recent.push_back(point.clone());
-        while spec.recent.len() > spec.lookahead {
-            spec.recent.pop_front();
-        }
-        spec.pending.push(point);
-    }
-
-    /// Ship the buffered predictions of the planning pass that just ended,
-    /// split into one chunk per worker thread so the batch win (shared
-    /// stage results on an incremental engine) does not serialize the
-    /// lookahead set onto a single worker. A planner that buffered nothing
-    /// flushes nothing; unflushed points at teardown are discarded
-    /// speculation, which is always safe.
-    fn spec_flush(&mut self) {
-        let Some(spec) = &mut self.spec else { return };
-        if spec.pending.is_empty() {
-            return;
-        }
-        let Some(tx) = &spec.tx else {
-            spec.pending.clear();
-            return;
-        };
-        let pending = std::mem::take(&mut spec.pending);
-        let workers = spec.handles.len().max(1);
-        let chunk = pending.len().div_ceil(workers);
-        for batch in pending.chunks(chunk) {
-            let _ = tx.send(batch.to_vec());
-        }
-    }
-
-    /// A speculated measurement, if a worker already published it.
-    fn spec_peek(&self, point: &D::Point) -> Option<Arc<D::Measurement>> {
-        self.spec.as_ref().and_then(|s| s.shared.peek(point))
-    }
-
-    /// Predict whether measuring `point` (yielding `measurement`) would
-    /// commit a new discovery — the exact dedup predicate of
-    /// `handle_anomaly` against the *current* MFS set. Used only to stop
-    /// simulation branches whose later draws depend on an extraction the
-    /// planner cannot replay.
-    fn spec_predicts_new_discovery(&self, point: &D::Point, measurement: &D::Measurement) -> bool {
-        let Some(identity) = self.domain.judge(measurement) else {
-            return false;
-        };
-        let identity_dedup = self.config.identity_dedup;
-        !self.mfs_set.iter().any(|m| {
-            !D::mfs_is_empty(m)
-                && (!identity_dedup || D::mfs_identity(m) == identity)
-                && D::mfs_matches(m, point)
-        })
-    }
-
-    // collie-lint: begin(rng-clone, reason = "speculation planners replay the committed loop on cloned RNG state (DESIGN.md §9); the committed stream is never advanced by prediction")
-    /// Speculation planner for [`run_random`]: the committed stream draws
-    /// one random point per iteration and skips MFS-covered draws without
-    /// measuring, so the next measured points are a pure function of the
-    /// RNG clone and the current MFS set.
-    fn spec_plan_random(&mut self) {
-        if self.spec_throttled() || !self.spec_plan_due() {
-            return;
-        }
-        let lookahead = self.spec.as_ref().map(|s| s.lookahead).unwrap_or(0);
-        let mut rng = self.rng.clone();
-        let mut planned = 0usize;
-        let mut first = true;
-        for _ in 0..SPEC_MAX_SIM_STEPS {
-            if planned >= lookahead {
-                break;
-            }
-            let point = self.domain.random_point(&mut rng);
-            if self.spec_predicts_skip(&point) {
-                continue;
-            }
-            planned += 1;
-            if first {
-                // The commit path computes its immediate next point inline;
-                // queueing it would only race the main thread.
-                first = false;
-                continue;
-            }
-            self.spec_send(point);
-        }
-        self.spec_flush();
-    }
-
-    /// Speculation planner for the §7.2 ranking probes: random points
-    /// measured unconditionally, one RNG draw each, so every remaining
-    /// probe is exactly predictable.
-    fn spec_plan_probes(&mut self, remaining: usize) {
-        if self.spec_throttled() || !self.spec_plan_due() {
-            return;
-        }
-        let lookahead = self.spec.as_ref().map(|s| s.lookahead).unwrap_or(0);
-        let mut rng = self.rng.clone();
-        for i in 0..remaining.min(lookahead + 1) {
-            let point = self.domain.random_point(&mut rng);
-            if i > 0 {
-                self.spec_send(point);
-            }
-        }
-        self.spec_flush();
-    }
-
-    /// Advance one annealing-simulation branch by one committed-loop step,
-    /// returning the point that step would measure (if any). Replicates
-    /// `anneal_schedule`'s draw order exactly: mutate per iteration, the
-    /// bounded restart re-draw on a stuck-skip escape, cooling after
-    /// `iterations_per_temperature` iterations, and a fresh schedule (with
-    /// its line-1 random start) once the temperature floor is reached.
-    fn advance_anneal_sim(&mut self, sim: &mut AnnealSim<D>) -> Option<SpecEmit<D::Point>> {
-        let config = self.config;
-        if sim.iterations_left == 0 {
-            sim.temperature *= config.alpha;
-            sim.iterations_left = config.iterations_per_temperature;
-            if sim.temperature <= config.min_temperature {
-                sim.temperature = config.initial_temperature;
-                sim.current = self.domain.random_point(&mut sim.rng);
-                sim.value = None;
-                sim.stuck_skips = 0;
-                return Some(SpecEmit::Restart(sim.current.clone()));
-            }
-            if config.iterations_per_temperature == 0 {
-                return None;
-            }
-        }
-        sim.iterations_left -= 1;
-        let candidate = self.domain.mutate(&sim.current, &mut sim.rng);
-        if self.spec_predicts_skip(&candidate) {
-            sim.stuck_skips += 1;
-            if let Some(limit) = config.stuck_skip_limit {
-                if sim.stuck_skips >= limit {
-                    sim.stuck_skips = 0;
-                    // `draw_restart_point` replica: bounded re-draw.
-                    let mut point = self.domain.random_point(&mut sim.rng);
-                    for _ in 0..MAX_RESTART_REDRAWS {
-                        if !self.spec_predicts_skip(&point) {
-                            break;
-                        }
-                        point = self.domain.random_point(&mut sim.rng);
-                    }
-                    sim.current = point;
-                    sim.value = None;
-                    return Some(SpecEmit::Restart(sim.current.clone()));
-                }
-            }
-            return None;
-        }
-        sim.stuck_skips = 0;
-        Some(SpecEmit::Candidate(candidate))
-    }
-
-    /// Speculation planner for [`run_annealing`]'s inner loop: breadth-
-    /// first over Metropolis branches. Acceptance with `delta < 0`
-    /// consumes no RNG draw; any other outcome consumes exactly one draw
-    /// whether accepted or rejected — so a candidate whose value is not
-    /// published yet forks exactly three successor states. Branches whose
-    /// peeked measurement predicts a *new* discovery are dropped: the
-    /// extraction and restart re-draws that follow a commit depend on the
-    /// extracted MFS, which the planner cannot replay.
-    fn spec_plan_anneal(
-        &mut self,
-        current: &D::Point,
-        current_value: f64,
-        temperature: f64,
-        iterations_left: u32,
-        stuck_skips: u32,
-        target: Option<&str>,
-    ) {
-        if self.spec_throttled() || !self.spec_plan_due() {
-            return;
-        }
-        let lookahead = self.spec.as_ref().map(|s| s.lookahead).unwrap_or(0);
-        let mut frontier: VecDeque<AnnealSim<D>> = VecDeque::new();
-        frontier.push_back(AnnealSim {
-            rng: self.rng.clone(),
-            current: current.clone(),
-            value: Some(current_value),
-            temperature,
-            iterations_left,
-            stuck_skips,
-        });
-        let mut planned = 0usize;
-        let mut steps = 0usize;
-        let mut first = true;
-        while planned < lookahead && steps < SPEC_MAX_SIM_STEPS {
-            let Some(mut sim) = frontier.pop_front() else {
-                break;
-            };
-            let emit = loop {
-                steps += 1;
-                if steps >= SPEC_MAX_SIM_STEPS {
-                    break None;
-                }
-                if let Some(emit) = self.advance_anneal_sim(&mut sim) {
-                    break Some(emit);
-                }
-            };
-            match emit {
-                None => continue,
-                Some(SpecEmit::Restart(point)) => {
-                    planned += 1;
-                    if first {
-                        first = false;
-                    } else {
-                        self.spec_send(point.clone());
-                    }
-                    if let Some(m) = self.spec_peek(&point) {
-                        if self.spec_predicts_new_discovery(&point, &m) {
-                            continue;
-                        }
-                        sim.value = Some(self.domain.signal_value(&m, target));
-                    }
-                    frontier.push_back(sim);
-                }
-                Some(SpecEmit::Candidate(point)) => {
-                    planned += 1;
-                    if first {
-                        first = false;
-                    } else {
-                        self.spec_send(point.clone());
-                    }
-                    let peeked = self.spec_peek(&point);
-                    if let Some(m) = &peeked {
-                        if self.spec_predicts_new_discovery(&point, m) {
-                            continue;
-                        }
-                    }
-                    let candidate_value = peeked.map(|m| self.domain.signal_value(&m, target));
-                    match (sim.value, candidate_value) {
-                        (Some(cur), Some(cand)) => {
-                            // Both values known: exact Metropolis replica.
-                            let delta = self.energy_delta(cur, cand);
-                            let accept = if delta < 0.0 {
-                                true
-                            } else {
-                                let probability = (-delta / sim.temperature.max(1e-6)).exp();
-                                sim.rng.gen_f64() < probability
-                            };
-                            if accept {
-                                sim.current = point;
-                                sim.value = Some(cand);
-                            }
-                            frontier.push_back(sim);
-                        }
-                        _ => {
-                            // Unknown delta: fork the three possible
-                            // Metropolis outcomes.
-                            let mut accept_no_draw = sim.clone();
-                            accept_no_draw.current = point.clone();
-                            accept_no_draw.value = candidate_value;
-                            frontier.push_back(accept_no_draw);
-                            let _ = sim.rng.gen_f64();
-                            let mut accept_with_draw = sim.clone();
-                            accept_with_draw.current = point;
-                            accept_with_draw.value = candidate_value;
-                            frontier.push_back(accept_with_draw);
-                            // `sim` itself becomes the reject branch.
-                            frontier.push_back(sim);
-                        }
-                    }
-                }
-            }
-        }
-        self.spec_flush();
-    }
-
-    /// Speculation planner for the BO seeding phase: four random draws,
-    /// measured unless MFS-covered — value-independent, so exactly
-    /// predictable.
-    fn spec_plan_bo_seeds(&mut self, seeds: usize) {
-        if self.spec_throttled() || !self.spec_plan_due() {
-            return;
-        }
-        let mut rng = self.rng.clone();
-        let mut first = true;
-        for _ in 0..seeds {
-            let point = self.domain.random_point(&mut rng);
-            if self.spec_predicts_skip(&point) {
-                continue;
-            }
-            if first {
-                first = false;
-                continue;
-            }
-            self.spec_send(point);
-        }
-        self.spec_flush();
-    }
-
-    /// Speculation planner for the BO rounds: replays the acquisition
-    /// procedure on a cloned RNG and history. Each round's chosen
-    /// candidate depends on every previous measured value, so the exact
-    /// chain continues only while the peeked measurement is already
-    /// published. When the chain stalls on an unpublished value, the next
-    /// round's full candidate set is queued under both possible incumbents
-    /// (the pending point either beats the best observation or it does
-    /// not), which still covers whatever that round will measure.
-    fn spec_plan_bo(
-        &mut self,
-        history: &[(Vec<f64>, D::Point, f64)],
-        rounds_left: usize,
-        target: Option<&str>,
-        maximize: bool,
-    ) {
-        if self.spec_throttled() || !self.spec_plan_due() {
-            return;
-        }
-        let lookahead = self.spec.as_ref().map(|s| s.lookahead).unwrap_or(0);
-        let mut rng = self.rng.clone();
-        let mut sim_history: Vec<(Vec<f64>, D::Point, f64)> = history.to_vec();
-        let mut planned = 0usize;
-        let mut first = true;
-        for _ in 0..rounds_left.min(SPEC_MAX_SIM_STEPS) {
-            if planned >= lookahead {
-                break;
-            }
-            let best_point = best_of(&sim_history, maximize)
-                .cloned()
-                .unwrap_or_else(|| self.domain.random_point(&mut rng));
-            let mut candidates = Vec::with_capacity(CANDIDATES_PER_ROUND);
-            for i in 0..CANDIDATES_PER_ROUND {
-                let candidate = if i % 2 == 0 {
-                    self.domain.mutate(&best_point, &mut rng)
-                } else {
-                    self.domain.random_point(&mut rng)
-                };
-                candidates.push(candidate);
-            }
-            let mut best_candidate: Option<(f64, D::Point)> = None;
-            for candidate in candidates {
-                if self.spec_predicts_skip(&candidate) {
-                    continue;
-                }
-                let features = self.domain.surrogate_features(&candidate);
-                let (predicted, distance) = predict(&sim_history, &features);
-                let oriented = if maximize { predicted } else { -predicted };
-                let score = oriented + EXPLORATION_WEIGHT * distance * oriented.abs().max(1.0);
-                if best_candidate
-                    .as_ref()
-                    .map(|(s, _)| score > *s)
-                    .unwrap_or(true)
-                {
-                    best_candidate = Some((score, candidate));
-                }
-            }
-            let Some((_, chosen)) = best_candidate else {
-                continue;
-            };
-            planned += 1;
-            if first {
-                first = false;
-            } else {
-                self.spec_send(chosen.clone());
-            }
-            let Some(m) = self.spec_peek(&chosen) else {
-                // Chain stalled: fan out the next round under both
-                // possible incumbents.
-                let incumbents: Vec<D::Point> = match best_of(&sim_history, maximize) {
-                    Some(best) if best != &chosen => vec![best.clone(), chosen.clone()],
-                    _ => vec![chosen.clone()],
-                };
-                for incumbent in incumbents {
-                    let mut rng = rng.clone();
-                    for i in 0..CANDIDATES_PER_ROUND {
-                        if planned >= lookahead {
-                            break;
-                        }
-                        let candidate = if i % 2 == 0 {
-                            self.domain.mutate(&incumbent, &mut rng)
-                        } else {
-                            self.domain.random_point(&mut rng)
-                        };
-                        if self.spec_predicts_skip(&candidate) {
-                            continue;
-                        }
-                        planned += 1;
-                        self.spec_send(candidate);
-                    }
-                }
-                break;
-            };
-            if self.spec_predicts_new_discovery(&chosen, &m) {
-                break;
-            }
-            let value = self.domain.signal_value(&m, target);
-            sim_history.push((self.domain.surrogate_features(&chosen), chosen, value));
-        }
-        self.spec_flush();
-    }
-    // collie-lint: end(rng-clone)
 
     /// The campaign's configuration.
     pub fn config(&self) -> &SearchConfig {
@@ -882,11 +270,10 @@ impl<'c, D: SearchDomain> CampaignLoop<'c, D> {
             return vec![None];
         }
         let mut stats: Vec<OnlineStats> = vec![OnlineStats::new(); names.len()];
-        for probe in 0..probes {
+        for _ in 0..probes {
             if self.out_of_budget() {
                 break;
             }
-            self.spec_plan_probes(probes - probe);
             let point = self.random_point();
             if let Some(measurement) = self.measure(&point) {
                 for (i, name) in names.iter().enumerate() {
@@ -959,7 +346,6 @@ fn rank_by_variability(mut ranked: Vec<(String, f64)>) -> Vec<Option<String>> {
 pub fn run_random<D: SearchDomain>(campaign: &mut CampaignLoop<'_, D>) {
     let mut consecutive_skips = 0u32;
     while !campaign.out_of_budget() {
-        campaign.spec_plan_random();
         let point = campaign.random_point();
         if consecutive_skips < MAX_CONSECUTIVE_SKIPS && campaign.matches_known_mfs(&point) {
             consecutive_skips += 1;
@@ -1037,18 +423,10 @@ fn anneal_schedule<D: SearchDomain>(campaign: &mut CampaignLoop<'_, D>, target: 
     let mut temperature = config.initial_temperature;
     let mut stuck_skips = 0u32;
     while temperature > config.min_temperature {
-        for iteration in 0..config.iterations_per_temperature {
+        for _ in 0..config.iterations_per_temperature {
             if campaign.out_of_budget() {
                 return;
             }
-            campaign.spec_plan_anneal(
-                &current,
-                current_value,
-                temperature,
-                config.iterations_per_temperature - iteration,
-                stuck_skips,
-                target,
-            );
             // Line 4: mutate one search dimension.
             let candidate = campaign.mutate(&current);
             // Line 5: skip workloads already covered by a known anomaly —
@@ -1170,7 +548,6 @@ fn optimise_one_counter<D: SearchDomain>(
     let mut measured = 0u32;
     // Seed the surrogate with a handful of random observations.
     let mut history: Vec<(Vec<f64>, D::Point, f64)> = Vec::new();
-    campaign.spec_plan_bo_seeds(4);
     for _ in 0..4 {
         if campaign.out_of_budget() {
             return measured;
@@ -1189,11 +566,10 @@ fn optimise_one_counter<D: SearchDomain>(
     // Rounds proportional to the annealing schedule length so both
     // strategies spend comparable time per counter.
     let rounds = campaign.config().iterations_per_temperature as usize * 12;
-    for round in 0..rounds {
+    for _ in 0..rounds {
         if campaign.out_of_budget() {
             return measured;
         }
-        campaign.spec_plan_bo(&history, rounds - round, target, maximize);
         let best_point = best_of(&history, maximize)
             .cloned()
             .unwrap_or_else(|| campaign.random_point());
@@ -1827,110 +1203,5 @@ mod tests {
         };
         let b = run_search(&mut b_engine, &space, &pre_kernel);
         assert_eq!(a, b);
-    }
-
-    /// Everything a campaign commits, captured for bit-level comparison
-    /// between the serial loop and a speculative run.
-    #[derive(Debug, PartialEq)]
-    struct CommittedStream {
-        measured: Vec<SearchPoint>,
-        experiments: u32,
-        skipped_by_mfs: u32,
-        elapsed: collie_sim::time::SimDuration,
-        symptoms: Vec<Symptom>,
-        stats: crate::eval::EvalStats,
-    }
-
-    /// `(points sent to workers, shared-cache computes, shared-cache
-    /// serves)` of a speculative run — `None` when the campaign ran
-    /// serially.
-    type SpecActivity = Option<(usize, u64, u64)>;
-
-    fn committed_stream(
-        strategy: SearchStrategy,
-        lookahead: Option<usize>,
-    ) -> (CommittedStream, SpecActivity) {
-        let (mut engine, space, monitor) = setup();
-        let config = SearchConfig {
-            strategy,
-            ..SearchConfig::collie(29)
-        }
-        .with_budget(collie_sim::time::SimDuration::from_secs(2 * 3600));
-        let mut evaluator = Evaluator::new(&mut engine);
-        let domain = WorkloadDomain::new(&mut evaluator, &monitor, &space, config.signal);
-        let mut campaign = CampaignLoop::new(domain, &config);
-        if let Some(lookahead) = lookahead {
-            campaign.enable_speculation(lookahead);
-        }
-        match strategy {
-            SearchStrategy::Random => run_random(&mut campaign),
-            SearchStrategy::SimulatedAnnealing => run_annealing(&mut campaign),
-            SearchStrategy::Bayesian => run_bayesian(&mut campaign),
-        }
-        let measured = campaign.measured_log.clone();
-        let stats = campaign.eval_stats();
-        let activity = campaign.spec.as_ref().map(|s| {
-            (
-                s.sent.len(),
-                s.shared.computed_count(),
-                s.shared.served_count(),
-            )
-        });
-        let report = campaign.finish();
-        (
-            CommittedStream {
-                measured,
-                experiments: report.experiments,
-                skipped_by_mfs: report.skipped_by_mfs,
-                elapsed: report.elapsed,
-                symptoms: report.discoveries.iter().map(|d| d.symptom).collect(),
-                stats,
-            },
-            activity,
-        )
-    }
-
-    #[test]
-    fn speculative_campaigns_commit_the_serial_stream() {
-        // The tentpole contract: speculation is an execution strategy, not
-        // a search strategy. For every driver, a speculative campaign must
-        // commit exactly the serial measurement sequence — same measured
-        // points in the same order, same budget accounting, same
-        // discoveries, and same evaluator statistics (mis-speculated work
-        // lands only in the shared cache, never in the campaign's books).
-        for strategy in [
-            SearchStrategy::Random,
-            SearchStrategy::SimulatedAnnealing,
-            SearchStrategy::Bayesian,
-        ] {
-            let (serial, serial_activity) = committed_stream(strategy, None);
-            assert!(
-                !serial.measured.is_empty(),
-                "{strategy:?}: the serial oracle must measure something"
-            );
-            assert_eq!(
-                serial_activity, None,
-                "{strategy:?}: serial run must stay serial"
-            );
-            for lookahead in [2usize, 8] {
-                let (speculative, activity) = committed_stream(strategy, Some(lookahead));
-                assert_eq!(
-                    serial, speculative,
-                    "{strategy:?} with lookahead {lookahead} diverged from the serial stream"
-                );
-                let (sent, computed, _served) =
-                    activity.expect("speculation must have engaged on a memoized evaluator");
-                assert!(
-                    sent > 0,
-                    "{strategy:?} with lookahead {lookahead}: the planner never \
-                     speculated a single point"
-                );
-                assert!(
-                    computed > 0,
-                    "{strategy:?} with lookahead {lookahead}: nothing was ever \
-                     computed through the shared cache"
-                );
-            }
-        }
     }
 }

@@ -12,8 +12,6 @@
 //!   in the README;
 //! * **serde-skip** — execution-detail knobs never serialize into
 //!   fixtures;
-//! * **rng-clone** — campaign RNG state only forks in annotated
-//!   speculation-planner regions;
 //! * **counter-name** — counter literals match the canonical registry;
 //! * **forbid-unsafe** — every crate root forbids `unsafe`;
 //! * **fixture-drift** — golden fixtures on disk and the tests that
@@ -418,7 +416,7 @@ mod tests {
             &ws(vec![
                 (
                     "crates/core/src/b.rs",
-                    "use std::time::Instant;\nfn f() { let r = rng.clone(); }",
+                    "use std::time::Instant;\nuse std::time::SystemTime;",
                 ),
                 ("crates/core/src/a.rs", "use std::time::SystemTime;"),
             ]),

@@ -135,7 +135,7 @@ mod tests {
             root: "/repo".to_string(),
             files_scanned: 42,
             rules_run: vec!["wall-clock".to_string(), "env-registry".to_string()],
-            rules_allowed: vec!["rng-clone".to_string()],
+            rules_allowed: vec!["counter-name".to_string()],
             suppressed: 7,
             violations: vec![Violation {
                 rule: "wall-clock".to_string(),

@@ -28,7 +28,7 @@ pub struct RuleInfo {
 }
 
 /// Every rule, in canonical (report) order.
-pub const RULES: [RuleInfo; 8] = [
+pub const RULES: [RuleInfo; 7] = [
     RuleInfo {
         name: "wall-clock",
         doc: "deterministic crates must not read wall-clock time \
@@ -43,15 +43,9 @@ pub const RULES: [RuleInfo; 8] = [
     },
     RuleInfo {
         name: "serde-skip",
-        doc: "execution-detail fields (memoize, speculation, incremental) \
-              on serde-derived structs must carry #[serde(skip)] so they \
+        doc: "execution-detail fields (memoize, incremental) on \
+              serde-derived structs must carry #[serde(skip)] so they \
               cannot leak into golden fixtures",
-    },
-    RuleInfo {
-        name: "rng-clone",
-        doc: "campaign RNG state may only be cloned inside annotated \
-              speculation-planner regions (the committed stream must never \
-              fork silently)",
     },
     RuleInfo {
         name: "counter-name",
@@ -95,7 +89,7 @@ pub const DETERMINISTIC_PREFIXES: [&str; 5] = [
 /// The execution-detail knobs that must never serialize (rule
 /// `serde-skip`); kept in sync with `collie_core::env::HOOKS` by the
 /// registry test there.
-pub const EXEC_DETAIL_FIELDS: [&str; 3] = ["memoize", "speculation", "incremental"];
+pub const EXEC_DETAIL_FIELDS: [&str; 2] = ["memoize", "incremental"];
 
 /// One rule hit before suppression filtering.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,7 +115,7 @@ impl Candidate {
     }
 }
 
-/// Whether `rel` lives in a deterministic crate (D1/D4 scope).
+/// Whether `rel` lives in a deterministic crate (D1 scope).
 pub fn deterministic_scope(rel: &str) -> bool {
     DETERMINISTIC_PREFIXES
         .iter()
@@ -148,7 +142,6 @@ pub fn check_file(rel: &str, tokens: &[Token]) -> Vec<Candidate> {
     check_wall_clock(rel, &code, &mut out);
     check_env_registry(&code, &mut out);
     check_serde_skip(&code, &mut out);
-    check_rng_clone(rel, &code, &mut out);
     check_counter_name(&code, &mut out);
     check_forbid_unsafe(rel, &code, &mut out);
     out
@@ -405,33 +398,6 @@ fn check_struct_fields(
     }
 }
 
-/// D4: campaign RNG clones only in annotated speculation-planner regions.
-fn check_rng_clone(rel: &str, code: &[&Token], out: &mut Vec<Candidate>) {
-    if !deterministic_scope(rel) {
-        return;
-    }
-    for (index, token) in code.iter().enumerate() {
-        let is_rng =
-            token.kind == TokenKind::Ident && (token.text == "rng" || token.text.ends_with("_rng"));
-        if is_rng
-            && punct_at(code, index + 1, ".")
-            && ident_at(code, index + 2, "clone")
-            && punct_at(code, index + 3, "(")
-        {
-            out.push(Candidate::at(
-                "rng-clone",
-                token,
-                format!(
-                    "`{}.clone()` forks campaign RNG state; only annotated \
-                     speculation-planner regions may do this (the committed stream \
-                     must stay serial-order identical)",
-                    token.text
-                ),
-            ));
-        }
-    }
-}
-
 /// Whether `text` is exactly a counter name (`perf/…`, `diag/…`,
 /// `fabric/…`), and if so whether it is canonical.
 fn counter_name_status(text: &str) -> Option<bool> {
@@ -591,7 +557,7 @@ mod tests {
         assert_eq!(found[0].rule, "serde-skip");
         assert_eq!(found[0].line, 4);
 
-        let ok = "#[derive(Serialize)]\npub struct C {\n    #[serde(skip)]\n    pub memoize: bool,\n    pub speculation_budget: u64,\n}";
+        let ok = "#[derive(Serialize)]\npub struct C {\n    #[serde(skip)]\n    pub memoize: bool,\n    pub memoize_budget: u64,\n}";
         assert!(rules_fired(NON_DET, ok).is_empty());
     }
 
@@ -605,19 +571,10 @@ mod tests {
 
     #[test]
     fn serde_skip_walks_complex_field_types() {
-        let bad = "#[derive(Deserialize)]\nstruct C {\n    pub table: Vec<(String, Option<u64>)>,\n    speculation: Option<usize>,\n}";
+        let bad = "#[derive(Deserialize)]\nstruct C {\n    pub table: Vec<(String, Option<u64>)>,\n    incremental: Option<bool>,\n}";
         let found = candidates(NON_DET, bad);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].line, 4);
-    }
-
-    #[test]
-    fn rng_clone_fires_on_rng_named_receivers_in_scope() {
-        let src = "let fork = self.rng.clone();\nlet other = planner_rng.clone();\nlet fine = config.clone();";
-        let found = candidates(DET, src);
-        assert_eq!(found.len(), 2, "{found:?}");
-        assert!(found.iter().all(|c| c.rule == "rng-clone"));
-        assert!(rules_fired(NON_DET, src).is_empty());
     }
 
     #[test]
